@@ -35,6 +35,7 @@ from .core import (
 from .decomposition import (
     Component,
     SemilatticeDecomposition,
+    TableFacts,
     VerificationReport,
     admissible_candidates,
     decompose,
@@ -51,7 +52,6 @@ from .enumeration import (
     random_table,
 )
 from .properties import (
-    InternalDisagreement,
     PROFILE_KEYS,
     PropertyProfile,
     classify,

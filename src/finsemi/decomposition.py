@@ -2,14 +2,17 @@
 
 `decompose` drives the full pipeline: canonical relation, induced
 congruence, quotient, and per-class component tables.  The verify_*
-functions each check one structural claim on a single table and report
+functions each check one structural claim on the `TableFacts` of a
+single table, which computes each fact they share once, and report
 verified / violated / not-applicable with re-checkable witnesses; corpus
 aggregation and the open counterexample search live here too.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -23,17 +26,7 @@ from .congruence import (
 )
 from .core import CayleyTable, validate
 from .enumeration import MAX_ORDER, OrderTooLarge, enumerate_canonical
-from .properties import (
-    PropertyProfile,
-    classify,
-    is_cancellative,
-    is_quasi_cancellative,
-    is_quasi_separative,
-    is_separative,
-    is_weakly_balanced,
-    is_weakly_cancellative,
-    has_square_descent,
-)
+from .properties import _PREDICATES, PropertyProfile, _build_profile, classify
 from .relations import (
     BinaryRelation,
     canonical_relation,
@@ -96,6 +89,53 @@ def decompose(s: CayleyTable) -> SemilatticeDecomposition:
     )
 
 
+class TableFacts:
+    """The facts the checks read about one table, each computed on first
+    use and then shared: every classifier verdict with its first witness,
+    the decomposition, a `TableFacts` per closed component and the
+    property profile.  Facts live as long as the object; `run_checks`
+    builds one per table and drops it after the table's checks."""
+
+    def __init__(self, s: CayleyTable):
+        self.s = s
+        self._verdicts: dict[str, tuple[bool, Optional[tuple]]] = {}
+
+    def holds(self, key: str) -> tuple[bool, Optional[tuple]]:
+        """The classifier `key` of `PROFILE_KEYS`: verdict and first witness."""
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = _PREDICATES[key](self.s)
+        return verdict
+
+    @functools.cached_property
+    def _decomposed(self):
+        try:
+            return decompose(self.s)
+        except NotACongruence as exc:
+            return exc
+
+    @property
+    def decomposition(self) -> SemilatticeDecomposition:
+        """`decompose(s)`; raises the NotACongruence it raised."""
+        d = self._decomposed
+        if isinstance(d, NotACongruence):
+            raise d
+        return d
+
+    @functools.cached_property
+    def components(self) -> tuple[Optional[TableFacts], ...]:
+        """Facts of each closed component, None for an unclosed class;
+        raises like `decomposition`."""
+        return tuple(
+            None if c is None else TableFacts(c.table)
+            for c in self.decomposition.components
+        )
+
+    @functools.cached_property
+    def profile(self) -> PropertyProfile:
+        return _build_profile(self.holds)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     check: str
@@ -108,6 +148,15 @@ def _report(check: str, verdict: str, witnesses=(), **counts) -> VerificationRep
     return VerificationReport(
         check, verdict, tuple(witnesses), tuple(sorted(counts.items()))
     )
+
+
+def _implication(check: str, facts: TableFacts, premises, key: str) -> VerificationReport:
+    """Premise classifiers all holding must give classifier `key`."""
+    if not all(facts.holds(p)[0] for p in premises):
+        return _report(check, "not-applicable", skipped=1)
+    ok, w = facts.holds(key)
+    witnesses = [] if ok else [(f"not_{key}", w)]
+    return _report(check, "verified" if ok else "violated", witnesses, applicable=1)
 
 
 def admissible_candidates(s: CayleyTable) -> list[tuple[str, BinaryRelation]]:
@@ -124,8 +173,9 @@ def admissible_candidates(s: CayleyTable) -> list[tuple[str, BinaryRelation]]:
     return out
 
 
-def verify_congruence_construction(s: CayleyTable) -> VerificationReport:
+def verify_congruence_construction(facts: TableFacts) -> VerificationReport:
     """Every admissible candidate relation must induce a congruence."""
+    s = facts.s
     witnesses = []
     checked = 0
     for name, rel in admissible_candidates(s):
@@ -140,7 +190,51 @@ def verify_congruence_construction(s: CayleyTable) -> VerificationReport:
     )
 
 
-def verify_semilattice_decomposition(s: CayleyTable) -> VerificationReport:
+def _component_check(
+    facts: TableFacts, check_id: str, keys: Sequence[str], semilattice: bool = False
+) -> VerificationReport:
+    """Every closed component must satisfy the classifiers `keys`; an
+    unclosed class, a non-congruence and, with `semilattice`, a quotient
+    that is no semilattice are violations too."""
+    try:
+        components = facts.components
+    except NotACongruence as exc:
+        return _report(
+            check_id, "violated", [("not_a_congruence", exc.witness)], applicable=1
+        )
+    witnesses = []
+    if semilattice and not facts.decomposition.quotient_is_semilattice:
+        witnesses.append(("quotient_not_semilattice",))
+    for idx, comp in enumerate(components):
+        if comp is None:
+            witnesses.append(("class_not_closed", idx))
+            continue
+        for key in keys:
+            ok, w = comp.holds(key)
+            if not ok:
+                witnesses.append((f"component_not_{key}", idx, w))
+    return _report(
+        check_id,
+        "violated" if witnesses else "verified",
+        witnesses,
+        applicable=1,
+        components=len(components),
+    )
+
+
+def _semilattice_of_weakly_cancellative(facts: TableFacts) -> bool:
+    """The decomposition is a congruence with a semilattice quotient whose
+    classes are all closed and weakly cancellative."""
+    try:
+        components = facts.components
+    except NotACongruence:
+        return False
+    return facts.decomposition.quotient_is_semilattice and all(
+        c is not None and c.holds("weakly_cancellative")[0] for c in components
+    )
+
+
+def verify_semilattice_decomposition(facts: TableFacts) -> VerificationReport:
     """Quasi-separative tables must decompose into a semilattice of
     quasi-separative, quasi-cancellative components.
 
@@ -150,49 +244,24 @@ def verify_semilattice_decomposition(s: CayleyTable) -> VerificationReport:
     of the least semilattice congruence, which are finer, conform (see
     tests/test_acceptance.py criterion 2); those 48 violations are
     pinned by tests/test_decomposition.py::test_known_gap_*."""
-    ok, _ = is_quasi_separative(s)
-    if not ok:
+    if not facts.holds("quasi_separative")[0]:
         return _report("t6", "not-applicable", skipped=1)
-    try:
-        d = decompose(s)
-    except NotACongruence as exc:
-        return _report(
-            "t6", "violated", [("not_a_congruence", exc.witness)], applicable=1
-        )
-    witnesses = []
-    if not d.quotient_is_semilattice:
-        witnesses.append(("quotient_not_semilattice",))
-    for idx, comp in enumerate(d.components):
-        if comp is None:
-            witnesses.append(("class_not_closed", idx))
-            continue
-        qs, w = is_quasi_separative(comp.table)
-        if not qs:
-            witnesses.append(("component_not_quasi_separative", idx, w))
-        qc, w = is_quasi_cancellative(comp.table)
-        if not qc:
-            witnesses.append(("component_not_quasi_cancellative", idx, w))
-    return _report(
-        "t6",
-        "violated" if witnesses else "verified",
-        witnesses,
-        applicable=1,
-        components=len(d.components),
+    return _component_check(
+        facts, "t6", ("quasi_separative", "quasi_cancellative"), semilattice=True
     )
 
 
-def verify_class_separation(s: CayleyTable) -> VerificationReport:
+def verify_class_separation(facts: TableFacts) -> VerificationReport:
     """On quasi-separative tables, the canonical relation restricted to
     any congruence class meets each member's left equalizer only on the
     diagonal."""
-    ok, _ = is_quasi_separative(s)
-    if not ok:
+    if not facts.holds("quasi_separative")[0]:
         return _report("p7", "not-applicable", skipped=1)
-    d = decompose(s)
+    d = facts.decomposition
     witnesses = []
     for ci, cls in enumerate(d.congruence.classes):
         for a in cls:
-            meet = (d.relation & left_equalizer(s, a)).restrict(cls)
+            meet = (d.relation & left_equalizer(facts.s, a)).restrict(cls)
             off = next(((x, y) for x, y in meet.pairs() if x != y), None)
             if off is not None:
                 witnesses.append((ci, a, *off))
@@ -205,82 +274,42 @@ def verify_class_separation(s: CayleyTable) -> VerificationReport:
     )
 
 
-def verify_separative_cancellation(s: CayleyTable) -> VerificationReport:
+def verify_separative_cancellation(facts: TableFacts) -> VerificationReport:
     """Separative and quasi-cancellative together must give cancellative."""
-    if not (is_separative(s)[0] and is_quasi_cancellative(s)[0]):
-        return _report("p11", "not-applicable", skipped=1)
-    ok, w = is_cancellative(s)
-    witnesses = [] if ok else [("not_cancellative", w)]
-    return _report(
-        "p11", "verified" if ok else "violated", witnesses, applicable=1
+    return _implication(
+        "p11", facts, ("separative", "quasi_cancellative"), "cancellative"
     )
 
 
-def verify_balanced_cancellation(s: CayleyTable) -> VerificationReport:
+def verify_balanced_cancellation(facts: TableFacts) -> VerificationReport:
     """Quasi-cancellative and weakly balanced together must give weak
     cancellativity."""
-    if not (is_quasi_cancellative(s)[0] and is_weakly_balanced(s)[0]):
-        return _report("p14", "not-applicable", skipped=1)
-    ok, w = is_weakly_cancellative(s)
-    witnesses = [] if ok else [("not_weakly_cancellative", w)]
-    return _report(
-        "p14", "verified" if ok else "violated", witnesses, applicable=1
+    return _implication(
+        "p14", facts, ("quasi_cancellative", "weakly_balanced"), "weakly_cancellative"
     )
 
 
-def _component_check(s, check_id, predicate, label):
-    try:
-        d = decompose(s)
-    except NotACongruence as exc:
-        return _report(
-            check_id, "violated", [("not_a_congruence", exc.witness)], applicable=1
-        )
-    witnesses = []
-    for idx, comp in enumerate(d.components):
-        if comp is None:
-            witnesses.append(("class_not_closed", idx))
-            continue
-        ok, w = predicate(comp.table)
-        if not ok:
-            witnesses.append((label, idx, w))
-    return _report(
-        check_id,
-        "violated" if witnesses else "verified",
-        witnesses,
-        applicable=1,
-        components=len(d.components),
-    )
-
-
-def verify_cancellative_components(s: CayleyTable) -> VerificationReport:
+def verify_cancellative_components(facts: TableFacts) -> VerificationReport:
     """Separative tables must decompose into cancellative components."""
-    if not is_separative(s)[0]:
+    if not facts.holds("separative")[0]:
         return _report("c12", "not-applicable", skipped=1)
-    return _component_check(s, "c12", is_cancellative, "component_not_cancellative")
+    return _component_check(facts, "c12", ("cancellative",))
 
 
-def verify_weakly_cancellative_components(s: CayleyTable) -> VerificationReport:
+def verify_weakly_cancellative_components(facts: TableFacts) -> VerificationReport:
     """Quasi-separative weakly balanced tables must decompose into
     weakly cancellative components."""
-    if not (is_quasi_separative(s)[0] and is_weakly_balanced(s)[0]):
+    if not (facts.holds("quasi_separative")[0] and facts.holds("weakly_balanced")[0]):
         return _report("c15", "not-applicable", skipped=1)
-    return _component_check(
-        s, "c15", is_weakly_cancellative, "component_not_weakly_cancellative"
-    )
+    return _component_check(facts, "c15", ("weakly_cancellative",))
 
 
-def verify_square_descent_claim(s: CayleyTable) -> VerificationReport:
+def verify_square_descent_claim(facts: TableFacts) -> VerificationReport:
     """Any table that decomposes into a semilattice of weakly
     cancellative components must satisfy square descent."""
-    try:
-        d = decompose(s)
-    except NotACongruence:
+    if not _semilattice_of_weakly_cancellative(facts):
         return _report("square-descent", "not-applicable", skipped=1)
-    if not d.quotient_is_semilattice or any(c is None for c in d.components):
-        return _report("square-descent", "not-applicable", skipped=1)
-    if not all(is_weakly_cancellative(c.table)[0] for c in d.components):
-        return _report("square-descent", "not-applicable", skipped=1)
-    ok, w = has_square_descent(s)
+    ok, w = facts.holds("square_descent")
     witnesses = [] if ok else [("square_descent_fails", w)]
     return _report(
         "square-descent", "verified" if ok else "violated", witnesses, applicable=1
@@ -340,8 +369,8 @@ def diagram_report(profile: PropertyProfile) -> VerificationReport:
     return _report("diagram", verdict, witnesses, applicable=1, **counts)
 
 
-def verify_table_diagram(s: CayleyTable) -> VerificationReport:
-    return diagram_report(classify(s))
+def verify_table_diagram(facts: TableFacts) -> VerificationReport:
+    return diagram_report(facts.profile)
 
 
 def strictness_witnesses() -> list[tuple[str, str, bool]]:
@@ -433,13 +462,12 @@ def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
     )
 
 
-def _run_chunk(payload):
-    ids, grids = payload
+def _run_chunk(ids, grids):
     collected = {check_id: [] for check_id in ids}
     for grid in grids:
-        s = CayleyTable(grid)
+        facts = TableFacts(CayleyTable(grid))
         for check_id in ids:
-            r = CHECKS[check_id](s)
+            r = CHECKS[check_id](facts)
             if r.witnesses:
                 # tag witnesses with their table so aggregated reports
                 # stay re-checkable
@@ -456,9 +484,23 @@ def _run_chunk(payload):
     }
 
 
-def _chunked(seq, size):
-    for i in range(0, len(seq), size):
-        yield seq[i : i + size]
+def _map_chunks(fn, items: list, workers: int) -> list:
+    """`fn` over consecutive chunks of `items`, results in chunk order.
+    The pool has at most `workers` processes, no more than the CPUs this
+    process may run on and one per chunk; with one process the whole
+    list is a single chunk, mapped here."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    processes = min(workers, cpus, len(items))
+    if processes <= 1:
+        return [fn(items)]
+    size = -(-len(items) // processes)
+    chunks = [items[i : i + size] for i in range(0, len(items), size)]
+    with multiprocessing.Pool(len(chunks)) as pool:
+        return pool.map(fn, chunks)
 
 
 def run_checks(
@@ -469,19 +511,13 @@ def run_checks(
     chunks, so the output is identical to a single-worker run."""
     grids = [t.rows for t in tables]
     ids = list(ids)
-    if not grids:
-        return [_report(i, "not-applicable") for i in ids]
-    if workers <= 1:
-        partials = [_run_chunk((ids, grids))]
-    else:
-        size = max(1, (len(grids) + workers - 1) // workers)
-        payloads = [(ids, chunk) for chunk in _chunked(grids, size)]
-        with multiprocessing.Pool(workers) as pool:
-            partials = pool.map(_run_chunk, payloads)
+    partials = _map_chunks(functools.partial(_run_chunk, ids), grids, workers)
     out = []
     for check_id in ids:
         parts = [p[check_id] for p in partials if p[check_id] is not None]
-        out.append(merge_reports(parts))
+        out.append(
+            merge_reports(parts) if parts else _report(check_id, "not-applicable")
+        )
     return out
 
 
@@ -495,20 +531,16 @@ def format_report(r: VerificationReport) -> str:
 
 
 def _cor15_converse_candidate(s: CayleyTable) -> bool:
-    if not is_quasi_separative(s)[0]:
-        return False
-    if is_weakly_balanced(s)[0]:
-        return False
-    d = decompose(s)
-    if not d.quotient_is_semilattice:
-        return False
-    return all(
-        c is not None and is_weakly_cancellative(c.table)[0] for c in d.components
+    facts = TableFacts(s)
+    return (
+        facts.holds("quasi_separative")[0]
+        and not facts.holds("weakly_balanced")[0]
+        and _semilattice_of_weakly_cancellative(facts)
     )
 
 
-def _candidate_worker(grids):
-    return [_cor15_converse_candidate(CayleyTable(g)) for g in grids]
+def _first_candidate(tables: list[CayleyTable]) -> Optional[CayleyTable]:
+    return next(filter(_cor15_converse_candidate, tables), None)
 
 
 def search_cor15_converse(
@@ -523,22 +555,9 @@ def search_cor15_converse(
     if not 1 <= max_order <= MAX_ORDER:
         raise OrderTooLarge(max_order)
     for n in range(1, max_order + 1):
-        stream = enumerate_canonical(n, "iso_anti")
-        if workers <= 1:
-            for s in stream:
-                if _cor15_converse_candidate(s):
-                    return s
-        else:
-            tables = list(stream)
-            grids = [t.rows for t in tables]
-            size = max(1, (len(grids) + workers - 1) // workers)
-            chunks = list(_chunked(grids, size))
-            with multiprocessing.Pool(workers) as pool:
-                flags = pool.map(_candidate_worker, chunks)
-            offset = 0
-            for chunk, chunk_flags in zip(chunks, flags):
-                for i, hit in enumerate(chunk_flags):
-                    if hit:
-                        return tables[offset + i]
-                offset += len(chunk)
+        tables = list(enumerate_canonical(n, "iso_anti"))
+        hits = _map_chunks(_first_candidate, tables, workers)
+        hit = next((h for h in hits if h is not None), None)
+        if hit is not None:
+            return hit
     return None

@@ -15,14 +15,6 @@ from .core import CayleyTable, adjoin_identity
 from .relations import context_equivalent
 
 
-class InternalDisagreement(RuntimeError):
-    """The two equivalent quasi-separativity formulations disagreed.
-
-    This cannot happen for an associative table; it exists as a tripwire
-    should the equivalence ever be violated.
-    """
-
-
 def is_separative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
     """Both dual implications: x2=xy and y2=yx force x=y, and the
     mirrored pair x2=yx and y2=xy force x=y."""
@@ -41,35 +33,14 @@ def is_separative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
 
 
 def is_quasi_separative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
-    """x2 = xy = yx = y2 forces x = y.
-
-    Also evaluates the shorter, equivalent premise x2 = xy = y2 and
-    insists on the same verdict.
-    """
+    """x2 = xy = yx = y2 forces x = y."""
     n, rows = s.n, s.rows
-    chain_w = None
     for x in range(n):
         xx = rows[x][x]
         for y in range(n):
             if x != y and xx == rows[x][y] == rows[y][x] == rows[y][y]:
-                chain_w = (x, y)
-                break
-        if chain_w:
-            break
-    short_w = None
-    for x in range(n):
-        xx = rows[x][x]
-        for y in range(n):
-            if x != y and xx == rows[x][y] == rows[y][y]:
-                short_w = (x, y)
-                break
-        if short_w:
-            break
-    if (chain_w is None) != (short_w is None):
-        raise InternalDisagreement(
-            f"four-term and three-term premises disagree: {chain_w} vs {short_w}"
-        )
-    return chain_w is None, chain_w
+                return False, (x, y)
+    return True, None
 
 
 def is_weakly_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
@@ -241,16 +212,22 @@ _PREDICATES = {
 }
 
 
-def classify(s: CayleyTable) -> PropertyProfile:
-    """Run every classifier and collect first witnesses for the failures."""
+def _build_profile(verdict) -> PropertyProfile:
+    """Assemble a profile from `verdict(key)`, which gives the verdict
+    and first witness of the classifier `key`."""
     values = {}
     witnesses = {}
-    for key, pred in _PREDICATES.items():
-        ok, w = pred(s)
+    for key in _PREDICATES:
+        ok, w = verdict(key)
         values[key] = ok
         if not ok:
             witnesses[key] = w
     return PropertyProfile(witnesses=witnesses, **values)
+
+
+def classify(s: CayleyTable) -> PropertyProfile:
+    """Run every classifier and collect first witnesses for the failures."""
+    return _build_profile(lambda key: _PREDICATES[key](s))
 
 
 def format_profile(p: PropertyProfile) -> str:

@@ -310,6 +310,18 @@ def test_search_converse_bad_args(capsys):
     assert run_cli(capsys, "search-converse-c15", "--max-order", "0")[0] == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(capsys, workers):
+    code, out, err = run_cli(capsys, "verify", "zoo:null2", "--workers", workers)
+    assert (code, out) == (2, "")
+    assert f"got {workers}" in err
+    code, out, err = run_cli(
+        capsys, "search-converse-c15", "--max-order", "2", "--workers", workers
+    )
+    assert (code, out) == (2, "")
+    assert f"got {workers}" in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
