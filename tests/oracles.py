@@ -7,6 +7,7 @@ exits, incremental pruning) with the library under test.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -104,6 +105,71 @@ def naive_admissibility(s: CayleyTable, rel: set) -> tuple[bool, bool, bool]:
         for b in range(n)
     )
     return balanced, left, right
+
+
+def naive_admissibility_witnesses(s: CayleyTable, rel: set) -> tuple:
+    """The first witness of each admissibility condition, or None when it
+    holds, scanning a, then b, then x and y ascending:
+    (balanced_witness, left_witness, right_witness)."""
+    n = s.n
+    rows = s.rows
+    balanced_w = next(
+        (
+            (a, x, y)
+            for a in range(n)
+            for x, y in sorted(rel)
+            if ((x, y) in left_kernel_pairs(s, a)) != ((x, y) in right_kernel_pairs(s, a))
+        ),
+        None,
+    )
+    left_w = next(
+        (
+            (a, b, x, y)
+            for a in range(n)
+            for b in range(n)
+            for x, y in sorted(rel & left_kernel_pairs(s, rows[a][b]))
+            if (rows[b][x], rows[b][y]) not in rel
+        ),
+        None,
+    )
+    right_w = next(
+        (
+            (a, b, x, y)
+            for a in range(n)
+            for b in range(n)
+            for x, y in sorted(rel & right_kernel_pairs(s, rows[a][b]))
+            if (rows[x][a], rows[y][a]) not in rel
+        ),
+        None,
+    )
+    return balanced_w, left_w, right_w
+
+
+def naive_induced_partition(s: CayleyTable, rel: set, side: str) -> list:
+    """Classes of the equivalence a ~ b iff rel meets the `side` ("left"
+    or "right") kernels of a and b in the same pairs, each class
+    ascending, ordered by least member."""
+    kernel = {"left": left_kernel_pairs, "right": right_kernel_pairs}[side]
+    meets = [rel & kernel(s, a) for a in range(s.n)]
+    classes = []
+    for a in range(s.n):
+        if not any(a in cls for cls in classes):
+            classes.append(tuple(b for b in range(s.n) if meets[b] == meets[a]))
+    return classes
+
+
+def sample_relations(s: CayleyTable) -> list:
+    """Relations to test admissibility and induced partitions on, as sets
+    of pairs: the diagonal, the full relation, the canonical relation and
+    three random relations seeded by the table."""
+    n = s.n
+    every = [(x, y) for x in range(n) for y in range(n)]
+    rng = random.Random(repr(s.rows))
+    return [
+        {(x, x) for x in range(n)},
+        set(every),
+        naive_canonical_relation(s),
+    ] + [{p for p in every if rng.random() < 0.5} for _ in range(3)]
 
 
 def naive_quasi_separative_chain(s: CayleyTable) -> bool:

@@ -76,6 +76,19 @@ def test_dual_induced_agrees_whenever_balanced():
         assert dual_induced_agrees(s, rel)
 
 
+def test_induced_partitions_match_oracle():
+    for s in oracles.corpus_up_to(3):
+        for pairs in oracles.sample_relations(s):
+            rel = BinaryRelation.from_pairs(s.n, pairs)
+            left = oracles.naive_induced_partition(s, pairs, "left")
+            right = oracles.naive_induced_partition(s, pairs, "right")
+            try:
+                assert induced_congruence(s, rel).classes == tuple(left)
+            except NotACongruence:
+                pass
+            assert dual_induced_agrees(s, rel) == (left == right)
+
+
 def test_quotient_examples():
     cong = induced_congruence(CHAIN2, BinaryRelation.full(2))
     q = quotient(CHAIN2, cong)

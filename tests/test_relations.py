@@ -109,17 +109,19 @@ def test_admissibility_full_on_left_zero_unbalanced():
 
 
 def test_admissibility_witnesses_recheck():
-    # scan small tables with assorted relations and re-check every witness
-    rels = lambda n: (
-        BinaryRelation.diagonal(n),
-        BinaryRelation.full(n),
-        BinaryRelation.from_pairs(n, [(0, 0)]),
-    )
-    for s in oracles.corpus_up_to(2):
-        for rel in rels(s.n):
+    # scan small tables with assorted relations, compare verdicts and first
+    # witnesses with the oracles, and re-check every witness
+    for s in oracles.corpus_up_to(3):
+        for pairs in oracles.sample_relations(s) + [{(0, 0)}]:
+            rel = BinaryRelation.from_pairs(s.n, pairs)
             rep = check_admissibility(s, rel)
-            naive = oracles.naive_admissibility(s, pairs_set(rel))
+            naive = oracles.naive_admissibility(s, pairs)
             assert (rep.balanced, rep.left_stable, rep.right_stable) == naive
+            assert (
+                rep.balanced_witness,
+                rep.left_witness,
+                rep.right_witness,
+            ) == oracles.naive_admissibility_witnesses(s, pairs)
             if not rep.left_stable:
                 a, b, x, y = rep.left_witness
                 ab = s.mul(a, b)
