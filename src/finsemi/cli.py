@@ -144,6 +144,8 @@ def cmd_decompose(args) -> int:
 def cmd_verify(args) -> int:
     which = normalize_check_id(args.theorem)
     ids = list(CHECK_IDS) if which == "all" else [which]
+    if args.corpus is not None and args.table is not None:
+        raise ValueError("verify takes a table or --corpus, not both")
     if args.corpus is not None:
         if not 1 <= args.corpus <= MAX_ORDER:
             raise OrderTooLarge(args.corpus)

@@ -10,6 +10,7 @@ callers may supply relations that are not admissible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .core import CayleyTable, is_commutative, validate
 from .relations import BinaryRelation, left_equalizer, right_equalizer
@@ -42,10 +43,12 @@ class QuotientSemigroup:
     origin: Congruence
 
 
-def _partition_by_left(s: CayleyTable, rel: BinaryRelation):
+def _partition(s: CayleyTable, rel: BinaryRelation, equalizer):
+    """Group elements by the relation's overlap with their `equalizer`
+    (left or right); classes ascending, ordered by least member."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for a in range(s.n):
-        groups.setdefault((rel & left_equalizer(s, a)).rows, []).append(a)
+        groups.setdefault((rel & equalizer(s, a)).rows, []).append(a)
     return sorted(groups.values())
 
 
@@ -59,7 +62,7 @@ def induced_congruence(s: CayleyTable, rel: BinaryRelation) -> Congruence:
     """
     if rel.n != s.n:
         raise ValueError("relation carrier does not match the table")
-    classes = _partition_by_left(s, rel)
+    classes = _partition(s, rel, left_equalizer)
     class_of = _class_index(s.n, classes)
     rows = s.rows
     for cls in classes:
@@ -137,11 +140,7 @@ def dual_induced_agrees(s: CayleyTable, rel: BinaryRelation) -> bool:
     """True when partitioning by right equalizers yields the same classes
     as partitioning by left equalizers.  Must hold whenever `rel` is
     balanced."""
-    left = _partition_by_left(s, rel)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for a in range(s.n):
-        groups.setdefault((rel & right_equalizer(s, a)).rows, []).append(a)
-    return left == sorted(groups.values())
+    return _partition(s, rel, left_equalizer) == _partition(s, rel, right_equalizer)
 
 
 def quotient(s: CayleyTable, c: Congruence) -> QuotientSemigroup:
@@ -161,9 +160,17 @@ def quotient(s: CayleyTable, c: Congruence) -> QuotientSemigroup:
     return QuotientSemigroup(validate(q), c)
 
 
+def _band_with_witness(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
+    """Verdict and first witness (x,) with x*x != x."""
+    for x in range(s.n):
+        if s.rows[x][x] != x:
+            return False, (x,)
+    return True, None
+
+
 def is_band(s: CayleyTable) -> bool:
     """Every element is idempotent."""
-    return all(s.rows[x][x] == x for x in range(s.n))
+    return _band_with_witness(s)[0]
 
 
 def is_semilattice(s: CayleyTable) -> bool:

@@ -7,7 +7,7 @@ entry point for untrusted grids and checks closure and associativity.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class OutOfRangeEntry(ValueError):
@@ -142,10 +142,18 @@ def product(s: CayleyTable, word: Sequence[int]) -> int:
     return acc
 
 
+def _commutative_with_witness(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
+    """Verdict and first witness (x, y), x < y, with x*y != y*x."""
+    n, rows = s.n, s.rows
+    for x in range(n):
+        for y in range(x + 1, n):
+            if rows[x][y] != rows[y][x]:
+                return False, (x, y)
+    return True, None
+
+
 def is_commutative(s: CayleyTable) -> bool:
-    rows = s.rows
-    n = s.n
-    return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n))
+    return _commutative_with_witness(s)[0]
 
 
 def parse_table(text: str) -> CayleyTable:

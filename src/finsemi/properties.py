@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import CayleyTable, adjoin_identity
+from .congruence import _band_with_witness
+from .core import CayleyTable, _commutative_with_witness, adjoin_identity
 from .relations import context_equivalent
 
 
@@ -141,22 +142,6 @@ def has_square_descent(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
     return True, None
 
 
-def _commutative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
-    n, rows = s.n, s.rows
-    for x in range(n):
-        for y in range(x + 1, n):
-            if rows[x][y] != rows[y][x]:
-                return False, (x, y)
-    return True, None
-
-
-def _band(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
-    for x in range(s.n):
-        if s.rows[x][x] != x:
-            return False, (x,)
-    return True, None
-
-
 PROFILE_KEYS = (
     "commutative",
     "band",
@@ -198,8 +183,8 @@ class PropertyProfile:
 
 
 _PREDICATES = {
-    "commutative": _commutative,
-    "band": _band,
+    "commutative": _commutative_with_witness,
+    "band": _band_with_witness,
     "cancellative": is_cancellative,
     "left_cancellative": is_left_cancellative,
     "right_cancellative": is_right_cancellative,

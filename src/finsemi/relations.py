@@ -140,24 +140,22 @@ class BinaryRelation:
         return f"BinaryRelation({self.n}, pairs={list(self.pairs())})"
 
 
+def _kernel(image) -> list[int]:
+    """For each x, the mask of all y with image[y] == image[x]."""
+    masks = [0] * len(image)
+    for y, v in enumerate(image):
+        masks[v] |= 1 << y
+    return [masks[v] for v in image]
+
+
 def left_equalizer(s: CayleyTable, a: int) -> BinaryRelation:
     """Pairs (x, y) with a*x = a*y; the kernel of left translation by a."""
-    n = s.n
-    row = s.rows[a]
-    masks = [0] * n
-    for y in range(n):
-        masks[row[y]] |= 1 << y
-    return BinaryRelation(n, tuple(masks[row[x]] for x in range(n)))
+    return BinaryRelation(s.n, _kernel(s.rows[a]))
 
 
 def right_equalizer(s: CayleyTable, a: int) -> BinaryRelation:
     """Pairs (x, y) with x*a = y*a; the kernel of right translation by a."""
-    n = s.n
-    col = [s.rows[x][a] for x in range(n)]
-    masks = [0] * n
-    for y in range(n):
-        masks[col[y]] |= 1 << y
-    return BinaryRelation(n, tuple(masks[col[x]] for x in range(n)))
+    return BinaryRelation(s.n, _kernel([r[a] for r in s.rows]))
 
 
 def translate_left(s: CayleyTable, x: int, r: BinaryRelation) -> BinaryRelation:
@@ -200,61 +198,50 @@ class AdmissibilityReport:
         return self.balanced and self.left_stable and self.right_stable
 
 
-def _first_diff(r1: BinaryRelation, r2: BinaryRelation) -> tuple[int, int]:
-    for x in range(r1.n):
-        d = r1.rows[x] ^ r2.rows[x]
-        if d:
-            return x, (d & -d).bit_length() - 1
-    raise AssertionError("relations are equal")
+def _first_unstable(rows, rel_rows, kernels, translation):
+    """First (a, b, x, y), scanning a, b, x, y ascending, with (x, y) in
+    rel and in kernels[a*b] but its image under translation(a, b) not in
+    rel."""
+    n = len(rows)
+    for a in range(n):
+        for b in range(n):
+            kernel = kernels[rows[a][b]]
+            t = translation(a, b)
+            for x in range(n):
+                m = rel_rows[x] & kernel[x]
+                image_row = rel_rows[t[x]]
+                while m:
+                    low = m & -m
+                    y = low.bit_length() - 1
+                    if not image_row >> t[y] & 1:
+                        return (a, b, x, y)
+                    m ^= low
+    return None
 
 
 def check_admissibility(s: CayleyTable, rel: BinaryRelation) -> AdmissibilityReport:
-    """Evaluate the three admissibility conditions by direct quantification."""
-    n = s.n
-    rows = s.rows
-
-    balanced, bal_w = True, None
-    for a in range(n):
-        le = rel & left_equalizer(s, a)
-        re = rel & right_equalizer(s, a)
-        if le != re:
-            x, y = _first_diff(le, re)
-            balanced, bal_w = False, (a, x, y)
-            break
-
-    left_ok, left_w = True, None
-    for a in range(n):
-        if not left_ok:
-            break
-        for b in range(n):
-            meet = rel & left_equalizer(s, rows[a][b])
-            rb = rows[b]
-            hit = next(
-                ((x, y) for x, y in meet.pairs() if not rel.has(rb[x], rb[y])), None
-            )
-            if hit is not None:
-                left_ok, left_w = False, (a, b, *hit)
-                break
-
-    right_ok, right_w = True, None
-    for a in range(n):
-        if not right_ok:
-            break
-        for b in range(n):
-            meet = rel & right_equalizer(s, rows[a][b])
-            hit = next(
-                (
-                    (x, y)
-                    for x, y in meet.pairs()
-                    if not rel.has(rows[x][a], rows[y][a])
-                ),
-                None,
-            )
-            if hit is not None:
-                right_ok, right_w = False, (a, b, *hit)
-                break
-
-    return AdmissibilityReport(balanced, left_ok, right_ok, bal_w, left_w, right_w)
+    """Evaluate the three admissibility conditions over the n left and n
+    right kernels, reporting the first witness of each in scan order."""
+    if rel.n != s.n:
+        raise ValueError("relation carrier does not match the table")
+    n, rows, rel_rows = s.n, s.rows, rel.rows
+    cols = list(zip(*rows))
+    left = [_kernel(r) for r in rows]
+    right = [_kernel(c) for c in cols]
+    bal_w = next(
+        (
+            (a, x, (d & -d).bit_length() - 1)
+            for a in range(n)
+            for x in range(n)
+            if (d := rel_rows[x] & (left[a][x] ^ right[a][x]))
+        ),
+        None,
+    )
+    left_w = _first_unstable(rows, rel_rows, left, lambda a, b: rows[b])
+    right_w = _first_unstable(rows, rel_rows, right, lambda a, b: cols[a])
+    return AdmissibilityReport(
+        bal_w is None, left_w is None, right_w is None, bal_w, left_w, right_w
+    )
 
 
 def context_equivalent(mt, size: int, x: int, y: int) -> bool:

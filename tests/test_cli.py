@@ -184,6 +184,13 @@ def test_verify_rejects_bad_inputs(capsys):
     assert run_cli(capsys, "verify", "zoo:null2", "--theorem", "nope")[0] == 2
 
 
+def test_verify_rejects_table_with_corpus(capsys):
+    code, out, err = run_cli(capsys, "verify", "zoo:chain:3", "--corpus", "2")
+    assert code == 2
+    assert out == ""
+    assert "not both" in err
+
+
 def test_enumerate_count_only(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--order", "3", "--count-only")
     assert code == 0

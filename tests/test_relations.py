@@ -134,6 +134,11 @@ def test_admissibility_witnesses_recheck():
                 assert not rel.has(s.mul(x, a), s.mul(y, a))
 
 
+def test_admissibility_rejects_other_carrier():
+    with pytest.raises(ValueError):
+        check_admissibility(L2, BinaryRelation.full(3))
+
+
 def test_canonical_relation_examples():
     # commutativity makes every pair context independent
     for s in (CHAIN2, N2, Z2, chain_semilattice(3)):
