@@ -11,7 +11,15 @@ import random
 from functools import lru_cache
 from itertools import product as iproduct
 
-from finsemi import CayleyTable, enumerate_labeled
+from finsemi import (
+    CayleyTable,
+    chain_semilattice,
+    cyclic_group,
+    enumerate_labeled,
+    monogenic,
+    null_semigroup,
+    rectangular_band,
+)
 
 
 def grid_is_associative(grid) -> bool:
@@ -235,15 +243,92 @@ def naive_context_equivalent(s: CayleyTable, b: int, c: int) -> bool:
 
 
 def naive_quasi_cancellative(s: CayleyTable) -> bool:
+    return literal_quasi_cancellative(s)[0]
+
+
+# The literal quantifier sweeps below are the library's former classifier
+# loops, kept verbatim as ground truth for the mask scans that replaced
+# them.  Each returns (verdict, first witness in scan order).
+
+
+def literal_weakly_cancellative(s: CayleyTable) -> tuple:
+    """a*x = a*y and x*b = y*b jointly force x = y; witness (a, b, x, y)."""
+    n, rows = s.n, s.rows
+    for a in range(n):
+        ra = rows[a]
+        for b in range(n):
+            for x in range(n):
+                rxb = rows[x][b]
+                for y in range(n):
+                    if x != y and ra[x] == ra[y] and rxb == rows[y][b]:
+                        return False, (a, b, x, y)
+    return True, None
+
+
+def literal_weakly_balanced(s: CayleyTable) -> tuple:
+    """a*x = a*y and x*b = y*b jointly force x*a = y*a and b*x = b*y;
+    witness (a, b, x, y)."""
+    n, rows = s.n, s.rows
+    for a in range(n):
+        ra = rows[a]
+        for b in range(n):
+            rb = rows[b]
+            for x in range(n):
+                rx = rows[x]
+                for y in range(n):
+                    if x == y:
+                        continue
+                    if ra[x] == ra[y] and rx[b] == rows[y][b]:
+                        if rx[a] != rows[y][a] or rb[x] != rb[y]:
+                            return False, (a, b, x, y)
+    return True, None
+
+
+def literal_square_descent(s: CayleyTable) -> tuple:
+    """a2*x = a2*y and x*a2 = y*a2 force a*x = a*y and x*a = y*a;
+    witness (a, x, y)."""
+    n, rows = s.n, s.rows
+    for a in range(n):
+        aa = rows[a][a]
+        raa = rows[aa]
+        ra = rows[a]
+        for x in range(n):
+            rx = rows[x]
+            for y in range(n):
+                if x == y:
+                    continue
+                if raa[x] == raa[y] and rx[aa] == rows[y][aa]:
+                    if ra[x] != ra[y] or rx[a] != rows[y][a]:
+                        return False, (a, x, y)
+    return True, None
+
+
+def literal_quasi_cancellative(s: CayleyTable) -> tuple:
+    """No b != c that every context over the carrier plus an identity
+    treats alike while some a has a*b = a*c; witness (b, c)."""
     n, rows = s.n, s.rows
     for b in range(n):
         for c in range(n):
             if b == c:
                 continue
-            if any(rows[a][b] == rows[a][c] for a in range(n)):
-                if naive_context_equivalent(s, b, c):
-                    return False
-    return True
+            if not any(rows[a][b] == rows[a][c] for a in range(n)):
+                continue
+            if naive_context_equivalent(s, b, c):
+                return False, (b, c)
+    return True, None
+
+
+def oracle_tables() -> list:
+    """Every labeled table of order <= 4, then small zoo tables and a
+    direct product, for comparing library results with the oracles."""
+    return corpus_up_to(4) + [
+        rectangular_band(2, 3),
+        cyclic_group(6),
+        chain_semilattice(5),
+        null_semigroup(5),
+        monogenic(3, 2),
+        direct_product(rectangular_band(2, 2), cyclic_group(3)),
+    ]
 
 
 def naive_least_semilattice_congruence(s: CayleyTable) -> set:

@@ -1,3 +1,5 @@
+import pytest
+
 from finsemi import (
     PROFILE_KEYS,
     chain_semilattice,
@@ -234,6 +236,22 @@ def test_quasi_separative_formulations_agree():
 def test_quasi_cancellative_matches_naive_oracle():
     for s in oracles.corpus_up_to(3):
         assert is_quasi_cancellative(s)[0] == oracles.naive_quasi_cancellative(s)
+
+
+@pytest.mark.parametrize(
+    "predicate, oracle",
+    [
+        (is_weakly_cancellative, oracles.literal_weakly_cancellative),
+        (is_weakly_balanced, oracles.literal_weakly_balanced),
+        (has_square_descent, oracles.literal_square_descent),
+        (is_quasi_cancellative, oracles.literal_quasi_cancellative),
+    ],
+    ids=["weakly_cancellative", "weakly_balanced", "square_descent", "quasi_cancellative"],
+)
+def test_predicate_matches_literal_oracle(predicate, oracle):
+    # verdict and first witness in scan order, not just a valid witness
+    for s in oracles.oracle_tables():
+        assert predicate(s) == oracle(s), s.rows
 
 
 def test_format_profile_stable_order():
