@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import CayleyTable, is_commutative, validate
-from .relations import BinaryRelation, left_equalizer, right_equalizer
+from .relations import BinaryRelation, _kernels
 
 
 class NotACongruence(ValueError):
@@ -43,12 +43,15 @@ class QuotientSemigroup:
     origin: Congruence
 
 
-def _partition(s: CayleyTable, rel: BinaryRelation, equalizer):
-    """Group elements by the relation's overlap with their `equalizer`
-    (left or right); classes ascending, ordered by least member."""
+def _partition(rel: BinaryRelation, kernels):
+    """Group elements by the relation's overlap with their kernel in
+    `kernels` (the table's left or right ones); classes ascending, ordered
+    by least member."""
+    if rel.n != len(kernels):
+        raise ValueError("relation carrier does not match the table")
     groups: dict[tuple[int, ...], list[int]] = {}
-    for a in range(s.n):
-        groups.setdefault((rel & equalizer(s, a)).rows, []).append(a)
+    for a, kernel in enumerate(kernels):
+        groups.setdefault(tuple(map(int.__and__, rel.rows, kernel)), []).append(a)
     return sorted(groups.values())
 
 
@@ -60,9 +63,7 @@ def induced_congruence(s: CayleyTable, rel: BinaryRelation) -> Congruence:
     share a class but multiplication by c separates their products; this
     can happen only when `rel` is not admissible.
     """
-    if rel.n != s.n:
-        raise ValueError("relation carrier does not match the table")
-    classes = _partition(s, rel, left_equalizer)
+    classes = _partition(rel, _kernels(s)[0])
     class_of = _class_index(s.n, classes)
     rows = s.rows
     for cls in classes:
@@ -140,7 +141,8 @@ def dual_induced_agrees(s: CayleyTable, rel: BinaryRelation) -> bool:
     """True when partitioning by right equalizers yields the same classes
     as partitioning by left equalizers.  Must hold whenever `rel` is
     balanced."""
-    return _partition(s, rel, left_equalizer) == _partition(s, rel, right_equalizer)
+    left, right = _kernels(s)
+    return _partition(rel, left) == _partition(rel, right)
 
 
 def quotient(s: CayleyTable, c: Congruence) -> QuotientSemigroup:

@@ -3,6 +3,8 @@
 A semigroup on the carrier {0, ..., n-1} is stored as its full n x n
 multiplication table.  Tables are immutable once built; `validate` is the
 entry point for untrusted grids and checks closure and associativity.
+The relations module fills the equalizer kernels and the canonical
+relation into a table on first use; they live as long as it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class CayleyTable:
     goes through.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_kernels", "_canonical")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rows = tuple(tuple(r) for r in rows)
@@ -59,6 +61,7 @@ class CayleyTable:
                     raise OutOfRangeEntry(i, j, v, n)
         self.n = n
         self.rows = rows
+        self._kernels = self._canonical = None
 
     def mul(self, x: int, y: int) -> int:
         return self.rows[x][y]

@@ -29,9 +29,11 @@ from .enumeration import MAX_ORDER, OrderTooLarge, enumerate_canonical
 from .properties import _PREDICATES, PropertyProfile, _build_profile, classify
 from .relations import (
     BinaryRelation,
+    _canonical,
+    _kernels,
+    _low_bit,
     canonical_relation,
     check_admissibility,
-    left_equalizer,
 )
 from . import zoo
 
@@ -162,9 +164,9 @@ def _implication(check: str, facts: TableFacts, premises, key: str) -> Verificat
 def admissible_candidates(s: CayleyTable) -> list[tuple[str, BinaryRelation]]:
     """Relations to feed the congruence construction: the diagonal
     unconditionally, the canonical and full relations when they pass the
-    admissibility conditions."""
+    admissibility conditions; the canonical one is the table's shared one."""
     out = [("diagonal", BinaryRelation.diagonal(s.n))]
-    rel = canonical_relation(s)
+    rel = _canonical(s)
     if check_admissibility(s, rel).all_satisfied:
         out.append(("canonical", rel))
     full = BinaryRelation.full(s.n)
@@ -258,13 +260,15 @@ def verify_class_separation(facts: TableFacts) -> VerificationReport:
     if not facts.holds("quasi_separative")[0]:
         return _report("p7", "not-applicable", skipped=1)
     d = facts.decomposition
+    left, rel = _kernels(facts.s)[0], d.relation.rows
     witnesses = []
     for ci, cls in enumerate(d.congruence.classes):
+        inside = sum(1 << x for x in cls)
         for a in cls:
-            meet = (d.relation & left_equalizer(facts.s, a)).restrict(cls)
-            off = next(((x, y) for x, y in meet.pairs() if x != y), None)
-            if off is not None:
-                witnesses.append((ci, a, *off))
+            for x in cls:
+                if m := rel[x] & left[a][x] & inside & ~(1 << x):
+                    witnesses.append((ci, a, x, _low_bit(m)))
+                    break
     return _report(
         "p7",
         "violated" if witnesses else "verified",
@@ -316,37 +320,19 @@ def verify_square_descent_claim(facts: TableFacts) -> VerificationReport:
     )
 
 
+# (name, hypothesis, conclusion): each side holds when all its
+# `PROFILE_KEYS` classes do.
 DIAGRAM_IMPLICATIONS = (
-    (
-        "separative->qs+wb",
-        lambda p: p.separative,
-        lambda p: p.quasi_separative and p.weakly_balanced,
-    ),
-    (
-        "qs+wb->qs",
-        lambda p: p.quasi_separative and p.weakly_balanced,
-        lambda p: p.quasi_separative,
-    ),
-    (
-        "cancellative->weakly_cancellative",
-        lambda p: p.cancellative,
-        lambda p: p.weakly_cancellative,
-    ),
+    ("separative->qs+wb", ("separative",), ("quasi_separative", "weakly_balanced")),
+    ("qs+wb->qs", ("quasi_separative", "weakly_balanced"), ("quasi_separative",)),
+    ("cancellative->weakly_cancellative", ("cancellative",), ("weakly_cancellative",)),
     (
         "weakly_cancellative->qs+qc",
-        lambda p: p.weakly_cancellative,
-        lambda p: p.quasi_separative and p.quasi_cancellative,
+        ("weakly_cancellative",),
+        ("quasi_separative", "quasi_cancellative"),
     ),
-    (
-        "cancellative->separative",
-        lambda p: p.cancellative,
-        lambda p: p.separative,
-    ),
-    (
-        "qs+qc->qs",
-        lambda p: p.quasi_separative and p.quasi_cancellative,
-        lambda p: p.quasi_separative,
-    ),
+    ("cancellative->separative", ("cancellative",), ("separative",)),
+    ("qs+qc->qs", ("quasi_separative", "quasi_cancellative"), ("quasi_separative",)),
 )
 
 
@@ -358,10 +344,10 @@ def diagram_report(profile: PropertyProfile) -> VerificationReport:
     counts = {"tables": 1}
     applicable = 0
     for name, hyp, concl in DIAGRAM_IMPLICATIONS:
-        if hyp(profile):
+        if all(getattr(profile, k) for k in hyp):
             applicable += 1
             counts[name] = 1
-            if not concl(profile):
+            if not all(getattr(profile, k) for k in concl):
                 witnesses.append((name,))
     if applicable == 0:
         return _report("diagram", "not-applicable", skipped=1, tables=1)
@@ -377,38 +363,19 @@ def strictness_witnesses() -> list[tuple[str, str, bool]]:
     """The named instances separating the diagram boxes, re-verified
     live.  Each entry is (instance, separation claim, claim holds)."""
     out = []
-    p = classify(zoo.left_zero(2))
-    out.append(
-        (
-            "left_zero(2)",
-            "weakly cancellative but not separative",
-            p.weakly_cancellative and not p.separative,
-        )
-    )
-    p = classify(zoo.chain_semilattice(2))
-    out.append(
-        (
-            "chain_semilattice(2)",
-            "separative but not quasi-cancellative",
-            p.separative and not p.quasi_cancellative,
-        )
-    )
-    p = classify(zoo.null_semigroup(2))
-    out.append(
-        (
-            "null_semigroup(2)",
-            "weakly balanced but not quasi-separative",
-            p.weakly_balanced and not p.quasi_separative,
-        )
-    )
+    for name, table, holds, fails, claim in (
+        ("left_zero(2)", zoo.left_zero(2), "weakly_cancellative", "separative",
+         "weakly cancellative but not separative"),
+        ("chain_semilattice(2)", zoo.chain_semilattice(2), "separative",
+         "quasi_cancellative", "separative but not quasi-cancellative"),
+        ("null_semigroup(2)", zoo.null_semigroup(2), "weakly_balanced",
+         "quasi_separative", "weakly balanced but not quasi-separative"),
+    ):
+        p = classify(table)
+        out.append((name, claim, getattr(p, holds) and not getattr(p, fails)))
     w = zoo.bicyclic_weakly_balanced_witness()
-    out.append(
-        (
-            "bicyclic monoid",
-            "balance premise holds yet its conclusion fails",
-            w.premise_holds and not w.conclusion_holds,
-        )
-    )
+    claim = "balance premise holds yet its conclusion fails"
+    out.append(("bicyclic monoid", claim, w.premise_holds and not w.conclusion_holds))
     return out
 
 

@@ -1,19 +1,29 @@
 """Classifiers for the semigroup classes handled by this package.
 
-Every predicate is a literal quantifier sweep with early exit; the first
-witness in search order is reported for a failing property.  These
-functions are the ground truth the verification suites are built on, so
-none of them takes algebraic shortcuts.
+Every predicate reports the first witness in search order for a failing
+property.  Most scan the table's equalizer kernels (`relations._kernels`:
+L[a][x] is the mask of all y with a*y = a*x, R[a][x] of all y with
+y*a = x*a) instead of quantifying over y.  Left cancellation fails at
+(a, x, y) for y > x in L[a][x]; weak cancellation at (a, b, x, y) for
+y != x in L[a][x] & R[b][x]; weak balance for y in it but not in
+R[a][x] & L[b][x]; square descent at (a, x, y) for y in L[aa][x] &
+R[aa][x] but not in L[a][x] & R[a][x], aa = a*a.  Quasi-cancellativity
+fails at (b, c) for c != b in some L[a][b] and related to b by the
+canonical relation, which is the context equivalence of its definition.
+Each scan keeps the order of the literal quantifier loops, which
+tests/oracles.py keeps (`literal_*`) and checks these against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 from .congruence import _band_with_witness
-from .core import CayleyTable, _commutative_with_witness, adjoin_identity
-from .relations import context_equivalent
+from .core import CayleyTable, _commutative_with_witness
+from .relations import _canonical, _kernels, _low_bit
 
 
 def is_separative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
@@ -46,33 +56,25 @@ def is_quasi_separative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
 
 def is_weakly_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
     """a*x = a*y and x*b = y*b jointly force x = y."""
-    n, rows = s.n, s.rows
-    for a in range(n):
-        ra = rows[a]
-        for b in range(n):
-            for x in range(n):
-                rxb = rows[x][b]
-                for y in range(n):
-                    if x != y and ra[x] == ra[y] and rxb == rows[y][b]:
-                        return False, (a, b, x, y)
+    left, right = _kernels(s)
+    for a, la in enumerate(left):
+        for b, rb in enumerate(right):
+            for x, (l, r) in enumerate(zip(la, rb)):
+                m = l & r & ~(1 << x)
+                if m:
+                    return False, (a, b, x, _low_bit(m))
     return True, None
 
 
 def is_weakly_balanced(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
     """a*x = a*y and x*b = y*b jointly force x*a = y*a and b*x = b*y."""
-    n, rows = s.n, s.rows
-    for a in range(n):
-        ra = rows[a]
-        for b in range(n):
-            rb = rows[b]
-            for x in range(n):
-                rx = rows[x]
-                for y in range(n):
-                    if x == y:
-                        continue
-                    if ra[x] == ra[y] and rx[b] == rows[y][b]:
-                        if rx[a] != rows[y][a] or rb[x] != rb[y]:
-                            return False, (a, b, x, y)
+    left, right = _kernels(s)
+    for a, (la, ra) in enumerate(zip(left, right)):
+        for b, (lb, rb) in enumerate(zip(left, right)):
+            for x in range(len(la)):
+                m = la[x] & rb[x] & ~(ra[x] & lb[x])
+                if m:
+                    return False, (a, b, x, _low_bit(m))
     return True, None
 
 
@@ -81,64 +83,47 @@ def is_quasi_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
     fresh identity treats b and c identically (the three product
     equalities hold or fail together for all x, y) and some a has
     a*b = a*c, then the table is not quasi-cancellative."""
-    n, rows = s.n, s.rows
-    mt = adjoin_identity(s).rows
-    for b in range(n):
-        for c in range(n):
-            if b == c:
-                continue
-            if not any(rows[a][b] == rows[a][c] for a in range(n)):
-                continue
-            if context_equivalent(mt, n + 1, b, c):
-                return False, (b, c)
+    left, _ = _kernels(s)
+    for b, related in enumerate(_canonical(s).rows):
+        m = related & ~(1 << b) & reduce(or_, [la[b] for la in left])
+        if m:
+            return False, (b, _low_bit(m))
+    return True, None
+
+
+def _first_collision(kernels) -> tuple[bool, Optional[tuple]]:
+    """First (a, x, y), x < y, with y in kernels[a][x]."""
+    for a, kernel in enumerate(kernels):
+        for x, m in enumerate(kernel):
+            if m >> x + 1:
+                return False, (a, x, _low_bit(m >> x + 1) + x + 1)
     return True, None
 
 
 def is_left_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
-    n, rows = s.n, s.rows
-    for a in range(n):
-        ra = rows[a]
-        for x in range(n):
-            for y in range(x + 1, n):
-                if ra[x] == ra[y]:
-                    return False, (a, x, y)
-    return True, None
+    return _first_collision(_kernels(s)[0])
 
 
 def is_right_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
-    n, rows = s.n, s.rows
-    for a in range(n):
-        for x in range(n):
-            rxa = rows[x][a]
-            for y in range(x + 1, n):
-                if rxa == rows[y][a]:
-                    return False, (a, x, y)
-    return True, None
+    return _first_collision(_kernels(s)[1])
 
 
 def is_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
-    ok, w = is_left_cancellative(s)
-    if not ok:
-        return False, w
-    return is_right_cancellative(s)
+    left = is_left_cancellative(s)
+    return is_right_cancellative(s) if left[0] else left
 
 
 def has_square_descent(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
     """Equalities against a*a descend to equalities against a:
     a2*x = a2*y and x*a2 = y*a2 force a*x = a*y and x*a = y*a."""
-    n, rows = s.n, s.rows
-    for a in range(n):
+    left, right = _kernels(s)
+    rows = s.rows
+    for a, (la, ra) in enumerate(zip(left, right)):
         aa = rows[a][a]
-        raa = rows[aa]
-        ra = rows[a]
-        for x in range(n):
-            rx = rows[x]
-            for y in range(n):
-                if x == y:
-                    continue
-                if raa[x] == raa[y] and rx[aa] == rows[y][aa]:
-                    if ra[x] != ra[y] or rx[a] != rows[y][a]:
-                        return False, (a, x, y)
+        for x, (l2, r2) in enumerate(zip(left[aa], right[aa])):
+            m = l2 & r2 & ~(la[x] & ra[x])
+            if m:
+                return False, (a, x, _low_bit(m))
     return True, None
 
 

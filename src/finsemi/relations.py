@@ -9,10 +9,11 @@ whose induced equivalence is a congruence (see the congruence module).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .core import CayleyTable, FormatError, adjoin_identity
+from .core import CayleyTable, FormatError
 
 
 class BinaryRelation:
@@ -69,9 +70,8 @@ class BinaryRelation:
         """Yield pairs in ascending lexicographic order."""
         for x, m in enumerate(self.rows):
             while m:
-                low = m & -m
-                yield (x, low.bit_length() - 1)
-                m ^= low
+                yield (x, _low_bit(m))
+                m &= m - 1
 
     def __len__(self) -> int:
         return sum(bin(m).count("1") for m in self.rows)
@@ -122,13 +122,11 @@ class BinaryRelation:
 
     def is_transitive(self) -> bool:
         rows = self.rows
-        for x, r in enumerate(rows):
-            reach = 0
-            m = r
+        for r in rows:
+            reach, m = 0, r
             while m:
-                low = m & -m
-                reach |= rows[low.bit_length() - 1]
-                m ^= low
+                reach |= rows[_low_bit(m)]
+                m &= m - 1
             if reach & ~r:
                 return False
         return True
@@ -140,12 +138,26 @@ class BinaryRelation:
         return f"BinaryRelation({self.n}, pairs={list(self.pairs())})"
 
 
+def _low_bit(m: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (m & -m).bit_length() - 1
+
+
 def _kernel(image) -> list[int]:
     """For each x, the mask of all y with image[y] == image[x]."""
     masks = [0] * len(image)
     for y, v in enumerate(image):
         masks[v] |= 1 << y
     return [masks[v] for v in image]
+
+
+def _kernels(s: CayleyTable) -> tuple[list[list[int]], list[list[int]]]:
+    """The table's left kernels L and right kernels R, built on first use:
+    L[a][x] is the mask of all y with a*y = a*x, R[a][x] the mask of all
+    y with y*a = x*a."""
+    if s._kernels is None:
+        s._kernels = [_kernel(r) for r in s.rows], [_kernel(c) for c in zip(*s.rows)]
+    return s._kernels
 
 
 def left_equalizer(s: CayleyTable, a: int) -> BinaryRelation:
@@ -198,47 +210,58 @@ class AdmissibilityReport:
         return self.balanced and self.left_stable and self.right_stable
 
 
-def _first_unstable(rows, rel_rows, kernels, translation):
+def _first_unstable(rows, rel_rows, kernels, translations, on_left: bool):
     """First (a, b, x, y), scanning a, b, x, y ascending, with (x, y) in
-    rel and in kernels[a*b] but its image under translation(a, b) not in
-    rel."""
+    rel and in kernels[a*b] but its image under t = translations[b] (on
+    the left) or translations[a] (on the right) not in rel.
+
+    The test for (a, b) reads only t and the pairs of rel in kernels[a*b],
+    so each combination is scanned once (one that fails returns at its
+    first occurrence), through pulled[v]: all y with (v, t[y]) in rel."""
     n = len(rows)
-    for a in range(n):
-        for b in range(n):
-            kernel = kernels[rows[a][b]]
-            t = translation(a, b)
-            for x in range(n):
-                m = rel_rows[x] & kernel[x]
-                image_row = rel_rows[t[x]]
-                while m:
-                    low = m & -m
-                    y = low.bit_length() - 1
-                    if not image_row >> t[y] & 1:
-                        return (a, b, x, y)
-                    m ^= low
+    meets: dict[tuple[int, ...], int] = {}
+    meet_of = [
+        meets.setdefault(tuple(map(int.__and__, rel_rows, k)), len(meets))
+        for k in kernels
+    ]
+    seen: set[tuple[int, int]] = set()
+    pulled_by: dict[int, list[int]] = {}
+    for a, b in itertools.product(range(n), repeat=2):
+        ab, i = rows[a][b], (b if on_left else a)
+        if (meet_of[ab], i) in seen:
+            continue
+        seen.add((meet_of[ab], i))
+        t, kernel = translations[i], kernels[ab]
+        if i not in pulled_by:
+            pulled_by[i] = [
+                sum(1 << y for y in range(n) if r >> t[y] & 1) for r in rel_rows
+            ]
+        pulled = pulled_by[i]
+        for x in range(n):
+            m = rel_rows[x] & kernel[x] & ~pulled[t[x]]
+            if m:
+                return (a, b, x, _low_bit(m))
     return None
 
 
 def check_admissibility(s: CayleyTable, rel: BinaryRelation) -> AdmissibilityReport:
-    """Evaluate the three admissibility conditions over the n left and n
-    right kernels, reporting the first witness of each in scan order."""
+    """Evaluate the three admissibility conditions over the table's left
+    and right kernels, reporting the first witness of each in scan order."""
     if rel.n != s.n:
         raise ValueError("relation carrier does not match the table")
     n, rows, rel_rows = s.n, s.rows, rel.rows
-    cols = list(zip(*rows))
-    left = [_kernel(r) for r in rows]
-    right = [_kernel(c) for c in cols]
+    left, right = _kernels(s)
     bal_w = next(
         (
-            (a, x, (d & -d).bit_length() - 1)
+            (a, x, _low_bit(d))
             for a in range(n)
             for x in range(n)
             if (d := rel_rows[x] & (left[a][x] ^ right[a][x]))
         ),
         None,
     )
-    left_w = _first_unstable(rows, rel_rows, left, lambda a, b: rows[b])
-    right_w = _first_unstable(rows, rel_rows, right, lambda a, b: cols[a])
+    left_w = _first_unstable(rows, rel_rows, left, rows, True)
+    right_w = _first_unstable(rows, rel_rows, right, list(zip(*rows)), False)
     return AdmissibilityReport(
         bal_w is None, left_w is None, right_w is None, bal_w, left_w, right_w
     )
@@ -265,19 +288,36 @@ def canonical_relation(s: CayleyTable) -> BinaryRelation:
 
     (x, y) is included when, over the carrier with a fresh identity
     adjoined, every sandwiching context yields the three product
-    equalities all true or all false.  Always reflexive and symmetric,
-    and always balanced; it is the relation the decomposition module
-    feeds to the induced congruence.
+    equalities all true or all false (`context_equivalent`).  Always
+    reflexive and symmetric, and always balanced; it is the relation the
+    decomposition module feeds to the induced congruence.
+
+    With L[c], R[c] the kernels of c, that is: (x, y) in L[c] <=> (x, y)
+    in R[c] for every c in S, and a*x*b = a*y*b <=> (x, y) in L[b*a] for
+    every a, b in S; contexts using the identity give the first half.
+    Built once per table by `_canonical`, which marks the y that fail
+    for each x, one kernel of x -> a*x*b per context, until no y != x is
+    left.
     """
-    mt = adjoin_identity(s).rows
-    n = s.n
-    rows = [1 << x for x in range(n)]
-    for x in range(n):
-        for y in range(x + 1, n):
-            if context_equivalent(mt, n + 1, x, y):
-                rows[x] |= 1 << y
-                rows[y] |= 1 << x
-    return BinaryRelation(n, rows)
+    return _canonical(s)
+
+
+def _canonical(s: CayleyTable) -> BinaryRelation:
+    if s._canonical is None:
+        n, rows = s.n, s.rows
+        left, right = _kernels(s)
+        full = (1 << n) - 1
+        bad = [0] * n
+        for lc, rc in zip(left, right):
+            bad = [m | l ^ r for m, l, r in zip(bad, lc, rc)]
+        cols = list(zip(*rows))
+        for a, b in itertools.product(range(n), repeat=2):
+            if all(m | 1 << x == full for x, m in enumerate(bad)):
+                break
+            k = _kernel([cols[b][v] for v in rows[a]])
+            bad = [m | kx ^ lx for m, kx, lx in zip(bad, k, left[rows[b][a]])]
+        s._canonical = BinaryRelation(n, [full & ~m for m in bad])
+    return s._canonical
 
 
 def parse_relation(text: str, n: int) -> BinaryRelation:

@@ -303,6 +303,30 @@ def literal_square_descent(s: CayleyTable) -> tuple:
     return True, None
 
 
+def literal_left_cancellative(s: CayleyTable) -> tuple:
+    """a*x = a*y forces x = y; witness (a, x, y) with x < y."""
+    n, rows = s.n, s.rows
+    for a in range(n):
+        ra = rows[a]
+        for x in range(n):
+            for y in range(x + 1, n):
+                if ra[x] == ra[y]:
+                    return False, (a, x, y)
+    return True, None
+
+
+def literal_right_cancellative(s: CayleyTable) -> tuple:
+    """x*a = y*a forces x = y; witness (a, x, y) with x < y."""
+    n, rows = s.n, s.rows
+    for a in range(n):
+        for x in range(n):
+            rxa = rows[x][a]
+            for y in range(x + 1, n):
+                if rxa == rows[y][a]:
+                    return False, (a, x, y)
+    return True, None
+
+
 def literal_quasi_cancellative(s: CayleyTable) -> tuple:
     """No b != c that every context over the carrier plus an identity
     treats alike while some a has a*b = a*c; witness (b, c)."""
@@ -318,10 +342,9 @@ def literal_quasi_cancellative(s: CayleyTable) -> tuple:
     return True, None
 
 
-def oracle_tables() -> list:
-    """Every labeled table of order <= 4, then small zoo tables and a
-    direct product, for comparing library results with the oracles."""
-    return corpus_up_to(4) + [
+def zoo_tables() -> list:
+    """Small zoo tables and a direct product, beyond the exhaustive orders."""
+    return [
         rectangular_band(2, 3),
         cyclic_group(6),
         chain_semilattice(5),
@@ -329,6 +352,12 @@ def oracle_tables() -> list:
         monogenic(3, 2),
         direct_product(rectangular_band(2, 2), cyclic_group(3)),
     ]
+
+
+def oracle_tables() -> list:
+    """Every labeled table of order <= 4, then `zoo_tables`, for comparing
+    library results with the oracles."""
+    return corpus_up_to(4) + zoo_tables()
 
 
 def naive_least_semilattice_congruence(s: CayleyTable) -> set:

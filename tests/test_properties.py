@@ -245,8 +245,17 @@ def test_quasi_cancellative_matches_naive_oracle():
         (is_weakly_balanced, oracles.literal_weakly_balanced),
         (has_square_descent, oracles.literal_square_descent),
         (is_quasi_cancellative, oracles.literal_quasi_cancellative),
+        (is_left_cancellative, oracles.literal_left_cancellative),
+        (is_right_cancellative, oracles.literal_right_cancellative),
     ],
-    ids=["weakly_cancellative", "weakly_balanced", "square_descent", "quasi_cancellative"],
+    ids=[
+        "weakly_cancellative",
+        "weakly_balanced",
+        "square_descent",
+        "quasi_cancellative",
+        "left_cancellative",
+        "right_cancellative",
+    ],
 )
 def test_predicate_matches_literal_oracle(predicate, oracle):
     # verdict and first witness in scan order, not just a valid witness

@@ -134,6 +134,18 @@ def test_admissibility_witnesses_recheck():
                 assert not rel.has(s.mul(x, a), s.mul(y, a))
 
 
+def test_admissibility_witnesses_match_oracle_on_zoo_tables():
+    # larger tables, where many (a, b) share one kernel meet and translation
+    for s in oracles.zoo_tables():
+        for pairs in oracles.sample_relations(s):
+            rep = check_admissibility(s, BinaryRelation.from_pairs(s.n, pairs))
+            assert (
+                rep.balanced_witness,
+                rep.left_witness,
+                rep.right_witness,
+            ) == oracles.naive_admissibility_witnesses(s, pairs), s.rows
+
+
 def test_admissibility_rejects_other_carrier():
     with pytest.raises(ValueError):
         check_admissibility(L2, BinaryRelation.full(3))
