@@ -168,12 +168,14 @@ def cmd_verify(args) -> int:
 def cmd_enumerate(args) -> int:
     if not 1 <= args.order <= MAX_ORDER:
         raise OrderTooLarge(args.order)
+    if args.mode is not None and not args.canonical:
+        raise ValueError("--mode applies only with --canonical")
     if args.filter is not None and args.filter not in PROFILE_KEYS:
         raise ValueError(
             f"unknown property {args.filter!r}; choose from {', '.join(PROFILE_KEYS)}"
         )
     stream = (
-        enumerate_canonical(args.order, args.mode)
+        enumerate_canonical(args.order, args.mode or "iso_anti")
         if args.canonical
         else enumerate_labeled(args.order)
     )
@@ -296,8 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode",
         choices=("iso", "iso_anti"),
-        default="iso_anti",
-        help="canonicalization mode (with --canonical)",
+        help="canonicalization mode, only with --canonical (default iso_anti)",
     )
     p.add_argument("--filter", metavar="PROPERTY", help="keep tables with the property")
     p.add_argument("--count-only", action="store_true", help="print only the count")

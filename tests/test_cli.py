@@ -247,6 +247,13 @@ def test_enumerate_rejects_bad_filter_and_order(capsys):
     assert run_cli(capsys, "enumerate", "--order", "6")[0] == 2
 
 
+def test_enumerate_mode_requires_canonical(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--order", "2", "--mode", "iso")
+    assert code == 2
+    assert out == ""
+    assert "--mode applies only with --canonical" in err
+
+
 def test_zoo_round_trips_through_parser(capsys):
     for args in (
         ("left_zero", "3"),
