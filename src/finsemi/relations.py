@@ -217,7 +217,8 @@ def _first_unstable(rows, rel_rows, kernels, translations, on_left: bool):
 
     The test for (a, b) reads only t and the pairs of rel in kernels[a*b],
     so each combination is scanned once (one that fails returns at its
-    first occurrence), through pulled[v]: all y with (v, t[y]) in rel."""
+    first occurrence), through pulled[v], the mask of all y with
+    (v, t[y]) in rel, built for the v that t reaches."""
     n = len(rows)
     meets: dict[tuple[int, ...], int] = {}
     meet_of = [
@@ -225,22 +226,22 @@ def _first_unstable(rows, rel_rows, kernels, translations, on_left: bool):
         for k in kernels
     ]
     seen: set[tuple[int, int]] = set()
-    pulled_by: dict[int, list[int]] = {}
+    pulled_by: dict[int, dict[int, int]] = {}
     for a, b in itertools.product(range(n), repeat=2):
         ab, i = rows[a][b], (b if on_left else a)
         if (meet_of[ab], i) in seen:
             continue
         seen.add((meet_of[ab], i))
         t, kernel = translations[i], kernels[ab]
-        if i not in pulled_by:
-            pulled_by[i] = [
-                sum(1 << y for y in range(n) if r >> t[y] & 1) for r in rel_rows
-            ]
-        pulled = pulled_by[i]
+        pulled = pulled_by.setdefault(i, {})
         for x in range(n):
-            m = rel_rows[x] & kernel[x] & ~pulled[t[x]]
-            if m:
-                return (a, b, x, _low_bit(m))
+            if m := rel_rows[x] & kernel[x]:
+                v = t[x]
+                if v not in pulled:
+                    r = rel_rows[v]
+                    pulled[v] = sum(1 << y for y in range(n) if r >> t[y] & 1)
+                if m := m & ~pulled[v]:
+                    return (a, b, x, _low_bit(m))
     return None
 
 
