@@ -217,8 +217,9 @@ def _first_unstable(rows, rel_rows, kernels, translations, on_left: bool):
 
     The test for (a, b) reads only t and the pairs of rel in kernels[a*b],
     so each combination is scanned once (one that fails returns at its
-    first occurrence), through pulled[v], the mask of all y with
-    (v, t[y]) in rel, built for the v that t reaches."""
+    first occurrence).  x's image row r = rel[t[x]] is read through
+    pulled[i, r], the mask of all y with t[y] in r, built once per
+    translation index i and row."""
     n = len(rows)
     meets: dict[tuple[int, ...], int] = {}
     meet_of = [
@@ -226,21 +227,19 @@ def _first_unstable(rows, rel_rows, kernels, translations, on_left: bool):
         for k in kernels
     ]
     seen: set[tuple[int, int]] = set()
-    pulled_by: dict[int, dict[int, int]] = {}
+    pulled: dict[tuple[int, int], int] = {}
     for a, b in itertools.product(range(n), repeat=2):
         ab, i = rows[a][b], (b if on_left else a)
         if (meet_of[ab], i) in seen:
             continue
         seen.add((meet_of[ab], i))
         t, kernel = translations[i], kernels[ab]
-        pulled = pulled_by.setdefault(i, {})
         for x in range(n):
             if m := rel_rows[x] & kernel[x]:
-                v = t[x]
-                if v not in pulled:
-                    r = rel_rows[v]
-                    pulled[v] = sum(1 << y for y in range(n) if r >> t[y] & 1)
-                if m := m & ~pulled[v]:
+                r = rel_rows[t[x]]
+                if (i, r) not in pulled:
+                    pulled[i, r] = sum(1 << y for y in range(n) if r >> t[y] & 1)
+                if m := m & ~pulled[i, r]:
                     return (a, b, x, _low_bit(m))
     return None
 
