@@ -109,8 +109,10 @@ def is_right_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
 
 
 def is_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
-    left = is_left_cancellative(s)
-    return is_right_cancellative(s) if left[0] else left
+    ok, w = is_left_cancellative(s)
+    if not ok:
+        return False, w
+    return is_right_cancellative(s)
 
 
 def has_square_descent(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
