@@ -35,7 +35,6 @@ from .core import (
 from .decomposition import (
     Component,
     SemilatticeDecomposition,
-    TableFacts,
     VerificationReport,
     admissible_candidates,
     decompose,

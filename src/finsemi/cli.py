@@ -31,7 +31,7 @@ from .decomposition import (
     strictness_witnesses,
 )
 from .enumeration import MAX_ORDER, OrderTooLarge, enumerate_canonical, enumerate_labeled
-from .properties import PROFILE_KEYS, classify, format_profile
+from .properties import PROFILE_KEYS, _holds, classify, format_profile
 from .relations import (
     BinaryRelation,
     canonical_relation,
@@ -180,7 +180,7 @@ def cmd_enumerate(args) -> int:
         else enumerate_labeled(args.order)
     )
     if args.filter is not None:
-        stream = (s for s in stream if getattr(classify(s), args.filter))
+        stream = (s for s in stream if _holds(s, args.filter)[0])
     count = 0
     for s in stream:
         count += 1

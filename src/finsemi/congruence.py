@@ -63,7 +63,7 @@ def induced_congruence(s: CayleyTable, rel: BinaryRelation) -> Congruence:
     share a class but multiplication by c separates their products; this
     can happen only when `rel` is not admissible.
     """
-    classes = _partition(rel, _kernels(s)[0])
+    classes = _partition(rel, s.fact(_kernels)[0])
     class_of = _class_index(s.n, classes)
     rows = s.rows
     for cls in classes:
@@ -141,7 +141,7 @@ def dual_induced_agrees(s: CayleyTable, rel: BinaryRelation) -> bool:
     """True when partitioning by right equalizers yields the same classes
     as partitioning by left equalizers.  Must hold whenever `rel` is
     balanced."""
-    left, right = _kernels(s)
+    left, right = s.fact(_kernels)
     return _partition(rel, left) == _partition(rel, right)
 
 

@@ -3,8 +3,9 @@
 A semigroup on the carrier {0, ..., n-1} is stored as its full n x n
 multiplication table.  Tables are immutable once built; `validate` is the
 entry point for untrusted grids and checks closure and associativity.
-The relations module fills the equalizer kernels and the canonical
-relation into a table on first use; they live as long as it.
+Each table keeps the facts other modules derive from it (equalizer
+kernels, canonical relation, classifier verdicts, decomposition): `fact`
+computes one on first use and keeps it as long as the table.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class CayleyTable:
     goes through.
     """
 
-    __slots__ = ("n", "rows", "_kernels", "_canonical")
+    __slots__ = ("n", "rows", "_facts")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rows = tuple(tuple(r) for r in rows)
@@ -61,7 +62,13 @@ class CayleyTable:
                     raise OutOfRangeEntry(i, j, v, n)
         self.n = n
         self.rows = rows
-        self._kernels = self._canonical = None
+        self._facts = {}
+
+    def fact(self, compute):
+        """`compute(self)`, computed on first use and kept with the table."""
+        if compute not in self._facts:
+            self._facts[compute] = compute(self)
+        return self._facts[compute]
 
     def mul(self, x: int, y: int) -> int:
         return self.rows[x][y]

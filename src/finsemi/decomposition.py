@@ -2,10 +2,12 @@
 
 `decompose` drives the full pipeline: canonical relation, induced
 congruence, quotient, and per-class component tables.  The verify_*
-functions each check one structural claim on the `TableFacts` of a
-single table, which computes each fact they share once, and report
-verified / violated / not-applicable with re-checkable witnesses; corpus
-aggregation and the open counterexample search live here too.
+functions each check one structural claim on a single table and report
+verified / violated / not-applicable with re-checkable witnesses.  They
+read the decomposition and the classifier verdicts as facts of the table
+(`CayleyTable.fact`), so each is computed once per table, a component's
+once per component table; corpus aggregation and the open counterexample
+search live here too.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .congruence import (
 )
 from .core import CayleyTable, validate
 from .enumeration import MAX_ORDER, OrderTooLarge, enumerate_canonical
-from .properties import _PREDICATES, PropertyProfile, _build_profile, classify
+from .properties import PropertyProfile, _holds, classify
 from .relations import (
     BinaryRelation,
     _canonical,
@@ -49,7 +51,9 @@ class Component:
 
 @dataclass(frozen=True)
 class SemilatticeDecomposition:
-    source: CayleyTable
+    """Holds no reference to the decomposed table, so that as a fact of
+    that table it forms no reference cycle and is freed with it."""
+
     relation: BinaryRelation
     congruence: Congruence
     quotient: QuotientSemigroup
@@ -87,55 +91,25 @@ def decompose(s: CayleyTable) -> SemilatticeDecomposition:
         else:
             components.append(None)
     return SemilatticeDecomposition(
-        s, rel, cong, q, tuple(components), is_semilattice(q.quotient)
+        rel, cong, q, tuple(components), is_semilattice(q.quotient)
     )
 
 
-class TableFacts:
-    """The facts the checks read about one table, each computed on first
-    use and then shared: every classifier verdict with its first witness,
-    the decomposition, a `TableFacts` per closed component and the
-    property profile.  Facts live as long as the object; `run_checks`
-    builds one per table and drops it after the table's checks."""
+def _decomposed(s: CayleyTable):
+    """`decompose(s)`, or the NotACongruence it raised."""
+    try:
+        return decompose(s)
+    except NotACongruence as exc:
+        return exc
 
-    def __init__(self, s: CayleyTable):
-        self.s = s
-        self._verdicts: dict[str, tuple[bool, Optional[tuple]]] = {}
 
-    def holds(self, key: str) -> tuple[bool, Optional[tuple]]:
-        """The classifier `key` of `PROFILE_KEYS`: verdict and first witness."""
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            verdict = self._verdicts[key] = _PREDICATES[key](self.s)
-        return verdict
-
-    @functools.cached_property
-    def _decomposed(self):
-        try:
-            return decompose(self.s)
-        except NotACongruence as exc:
-            return exc
-
-    @property
-    def decomposition(self) -> SemilatticeDecomposition:
-        """`decompose(s)`; raises the NotACongruence it raised."""
-        d = self._decomposed
-        if isinstance(d, NotACongruence):
-            raise d
-        return d
-
-    @functools.cached_property
-    def components(self) -> tuple[Optional[TableFacts], ...]:
-        """Facts of each closed component, None for an unclosed class;
-        raises like `decomposition`."""
-        return tuple(
-            None if c is None else TableFacts(c.table)
-            for c in self.decomposition.components
-        )
-
-    @functools.cached_property
-    def profile(self) -> PropertyProfile:
-        return _build_profile(self.holds)
+def _decomposition(s: CayleyTable) -> SemilatticeDecomposition:
+    """The table's decomposition fact; raises the NotACongruence that
+    `decompose` raised."""
+    d = s.fact(_decomposed)
+    if isinstance(d, NotACongruence):
+        raise d
+    return d
 
 
 @dataclass(frozen=True)
@@ -152,11 +126,11 @@ def _report(check: str, verdict: str, witnesses=(), **counts) -> VerificationRep
     )
 
 
-def _implication(check: str, facts: TableFacts, premises, key: str) -> VerificationReport:
+def _implication(check: str, s: CayleyTable, premises, key: str) -> VerificationReport:
     """Premise classifiers all holding must give classifier `key`."""
-    if not all(facts.holds(p)[0] for p in premises):
+    if not all(_holds(s, p)[0] for p in premises):
         return _report(check, "not-applicable", skipped=1)
-    ok, w = facts.holds(key)
+    ok, w = _holds(s, key)
     witnesses = [] if ok else [(f"not_{key}", w)]
     return _report(check, "verified" if ok else "violated", witnesses, applicable=1)
 
@@ -166,7 +140,7 @@ def admissible_candidates(s: CayleyTable) -> list[tuple[str, BinaryRelation]]:
     unconditionally, the canonical and full relations when they pass the
     admissibility conditions; the canonical one is the table's shared one."""
     out = [("diagonal", BinaryRelation.diagonal(s.n))]
-    rel = _canonical(s)
+    rel = s.fact(_canonical)
     if check_admissibility(s, rel).all_satisfied:
         out.append(("canonical", rel))
     full = BinaryRelation.full(s.n)
@@ -175,44 +149,50 @@ def admissible_candidates(s: CayleyTable) -> list[tuple[str, BinaryRelation]]:
     return out
 
 
-def verify_congruence_construction(facts: TableFacts) -> VerificationReport:
-    """Every admissible candidate relation must induce a congruence."""
-    s = facts.s
+def verify_congruence_construction(s: CayleyTable) -> VerificationReport:
+    """Every admissible candidate relation must induce a congruence.
+
+    A candidate equal to the canonical relation reads the decomposition
+    fact instead of inducing its congruence again: `decompose` raises iff
+    `induced_congruence` does on that relation, with the same witness,
+    since `quotient` cannot fail after the compatibility scan."""
+    candidates = admissible_candidates(s)
     witnesses = []
-    checked = 0
-    for name, rel in admissible_candidates(s):
-        checked += 1
+    for name, rel in candidates:
         try:
-            induced_congruence(s, rel)
+            if rel == s.fact(_canonical):
+                _decomposition(s)
+            else:
+                induced_congruence(s, rel)
         except NotACongruence as exc:
             witnesses.append((name, exc.witness, exc.detail))
     verdict = "violated" if witnesses else "verified"
     return _report(
-        "t4", verdict, witnesses, applicable=1, relations_checked=checked
+        "t4", verdict, witnesses, applicable=1, relations_checked=len(candidates)
     )
 
 
 def _component_check(
-    facts: TableFacts, check_id: str, keys: Sequence[str], semilattice: bool = False
+    s: CayleyTable, check_id: str, keys: Sequence[str], semilattice: bool = False
 ) -> VerificationReport:
     """Every closed component must satisfy the classifiers `keys`; an
     unclosed class, a non-congruence and, with `semilattice`, a quotient
     that is no semilattice are violations too."""
     try:
-        components = facts.components
+        d = _decomposition(s)
     except NotACongruence as exc:
         return _report(
             check_id, "violated", [("not_a_congruence", exc.witness)], applicable=1
         )
     witnesses = []
-    if semilattice and not facts.decomposition.quotient_is_semilattice:
+    if semilattice and not d.quotient_is_semilattice:
         witnesses.append(("quotient_not_semilattice",))
-    for idx, comp in enumerate(components):
+    for idx, comp in enumerate(d.components):
         if comp is None:
             witnesses.append(("class_not_closed", idx))
             continue
         for key in keys:
-            ok, w = comp.holds(key)
+            ok, w = _holds(comp.table, key)
             if not ok:
                 witnesses.append((f"component_not_{key}", idx, w))
     return _report(
@@ -220,23 +200,24 @@ def _component_check(
         "violated" if witnesses else "verified",
         witnesses,
         applicable=1,
-        components=len(components),
+        components=len(d.components),
     )
 
 
-def _semilattice_of_weakly_cancellative(facts: TableFacts) -> bool:
+def _semilattice_of_weakly_cancellative(s: CayleyTable) -> bool:
     """The decomposition is a congruence with a semilattice quotient whose
     classes are all closed and weakly cancellative."""
     try:
-        components = facts.components
+        d = _decomposition(s)
     except NotACongruence:
         return False
-    return facts.decomposition.quotient_is_semilattice and all(
-        c is not None and c.holds("weakly_cancellative")[0] for c in components
+    return d.quotient_is_semilattice and all(
+        c is not None and _holds(c.table, "weakly_cancellative")[0]
+        for c in d.components
     )
 
 
-def verify_semilattice_decomposition(facts: TableFacts) -> VerificationReport:
+def verify_semilattice_decomposition(s: CayleyTable) -> VerificationReport:
     """Quasi-separative tables must decompose into a semilattice of
     quasi-separative, quasi-cancellative components.
 
@@ -246,21 +227,21 @@ def verify_semilattice_decomposition(facts: TableFacts) -> VerificationReport:
     of the least semilattice congruence, which are finer, conform (see
     tests/test_acceptance.py criterion 2); those 48 violations are
     pinned by tests/test_decomposition.py::test_known_gap_*."""
-    if not facts.holds("quasi_separative")[0]:
+    if not _holds(s, "quasi_separative")[0]:
         return _report("t6", "not-applicable", skipped=1)
     return _component_check(
-        facts, "t6", ("quasi_separative", "quasi_cancellative"), semilattice=True
+        s, "t6", ("quasi_separative", "quasi_cancellative"), semilattice=True
     )
 
 
-def verify_class_separation(facts: TableFacts) -> VerificationReport:
+def verify_class_separation(s: CayleyTable) -> VerificationReport:
     """On quasi-separative tables, the canonical relation restricted to
     any congruence class meets each member's left equalizer only on the
     diagonal."""
-    if not facts.holds("quasi_separative")[0]:
+    if not _holds(s, "quasi_separative")[0]:
         return _report("p7", "not-applicable", skipped=1)
-    d = facts.decomposition
-    left, rel = _kernels(facts.s)[0], d.relation.rows
+    d = _decomposition(s)
+    left, rel = s.fact(_kernels)[0], d.relation.rows
     witnesses = []
     for ci, cls in enumerate(d.congruence.classes):
         inside = sum(1 << x for x in cls)
@@ -278,42 +259,42 @@ def verify_class_separation(facts: TableFacts) -> VerificationReport:
     )
 
 
-def verify_separative_cancellation(facts: TableFacts) -> VerificationReport:
+def verify_separative_cancellation(s: CayleyTable) -> VerificationReport:
     """Separative and quasi-cancellative together must give cancellative."""
     return _implication(
-        "p11", facts, ("separative", "quasi_cancellative"), "cancellative"
+        "p11", s, ("separative", "quasi_cancellative"), "cancellative"
     )
 
 
-def verify_balanced_cancellation(facts: TableFacts) -> VerificationReport:
+def verify_balanced_cancellation(s: CayleyTable) -> VerificationReport:
     """Quasi-cancellative and weakly balanced together must give weak
     cancellativity."""
     return _implication(
-        "p14", facts, ("quasi_cancellative", "weakly_balanced"), "weakly_cancellative"
+        "p14", s, ("quasi_cancellative", "weakly_balanced"), "weakly_cancellative"
     )
 
 
-def verify_cancellative_components(facts: TableFacts) -> VerificationReport:
+def verify_cancellative_components(s: CayleyTable) -> VerificationReport:
     """Separative tables must decompose into cancellative components."""
-    if not facts.holds("separative")[0]:
+    if not _holds(s, "separative")[0]:
         return _report("c12", "not-applicable", skipped=1)
-    return _component_check(facts, "c12", ("cancellative",))
+    return _component_check(s, "c12", ("cancellative",))
 
 
-def verify_weakly_cancellative_components(facts: TableFacts) -> VerificationReport:
+def verify_weakly_cancellative_components(s: CayleyTable) -> VerificationReport:
     """Quasi-separative weakly balanced tables must decompose into
     weakly cancellative components."""
-    if not (facts.holds("quasi_separative")[0] and facts.holds("weakly_balanced")[0]):
+    if not (_holds(s, "quasi_separative")[0] and _holds(s, "weakly_balanced")[0]):
         return _report("c15", "not-applicable", skipped=1)
-    return _component_check(facts, "c15", ("weakly_cancellative",))
+    return _component_check(s, "c15", ("weakly_cancellative",))
 
 
-def verify_square_descent_claim(facts: TableFacts) -> VerificationReport:
+def verify_square_descent_claim(s: CayleyTable) -> VerificationReport:
     """Any table that decomposes into a semilattice of weakly
     cancellative components must satisfy square descent."""
-    if not _semilattice_of_weakly_cancellative(facts):
+    if not _semilattice_of_weakly_cancellative(s):
         return _report("square-descent", "not-applicable", skipped=1)
-    ok, w = facts.holds("square_descent")
+    ok, w = _holds(s, "square_descent")
     witnesses = [] if ok else [("square_descent_fails", w)]
     return _report(
         "square-descent", "verified" if ok else "violated", witnesses, applicable=1
@@ -355,8 +336,8 @@ def diagram_report(profile: PropertyProfile) -> VerificationReport:
     return _report("diagram", verdict, witnesses, applicable=1, **counts)
 
 
-def verify_table_diagram(facts: TableFacts) -> VerificationReport:
-    return diagram_report(facts.profile)
+def verify_table_diagram(s: CayleyTable) -> VerificationReport:
+    return diagram_report(classify(s))
 
 
 def strictness_witnesses() -> list[tuple[str, str, bool]]:
@@ -432,9 +413,12 @@ def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
 def _run_chunk(ids, grids):
     collected = {check_id: [] for check_id in ids}
     for grid in grids:
-        facts = TableFacts(CayleyTable(grid))
+        # A fresh table per grid, not the caller's: its facts are dropped
+        # with it after its checks, so a corpus run does not keep every
+        # table's facts and a second run computes them again.
+        s = CayleyTable(grid)
         for check_id in ids:
-            r = CHECKS[check_id](facts)
+            r = CHECKS[check_id](s)
             if r.witnesses:
                 # tag witnesses with their table so aggregated reports
                 # stay re-checkable
@@ -498,11 +482,10 @@ def format_report(r: VerificationReport) -> str:
 
 
 def _cor15_converse_candidate(s: CayleyTable) -> bool:
-    facts = TableFacts(s)
     return (
-        facts.holds("quasi_separative")[0]
-        and not facts.holds("weakly_balanced")[0]
-        and _semilattice_of_weakly_cancellative(facts)
+        _holds(s, "quasi_separative")[0]
+        and not _holds(s, "weakly_balanced")[0]
+        and _semilattice_of_weakly_cancellative(s)
     )
 
 

@@ -1,7 +1,9 @@
 """Classifiers for the semigroup classes handled by this package.
 
 Every predicate reports the first witness in search order for a failing
-property.  Most scan the table's equalizer kernels (`relations._kernels`:
+property.  Its verdict is a table fact: `classify` and the checks read
+`s.fact(predicate)`, so each predicate runs at most once per table.
+Most scan the table's equalizer kernels (the fact `relations._kernels`:
 L[a][x] is the mask of all y with a*y = a*x, R[a][x] of all y with
 y*a = x*a) instead of quantifying over y.  Left cancellation fails at
 (a, x, y) for y > x in L[a][x]; weak cancellation at (a, b, x, y) for
@@ -56,7 +58,7 @@ def is_quasi_separative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
 
 def is_weakly_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
     """a*x = a*y and x*b = y*b jointly force x = y."""
-    left, right = _kernels(s)
+    left, right = s.fact(_kernels)
     for a, la in enumerate(left):
         for b, rb in enumerate(right):
             for x, (l, r) in enumerate(zip(la, rb)):
@@ -68,7 +70,7 @@ def is_weakly_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
 
 def is_weakly_balanced(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
     """a*x = a*y and x*b = y*b jointly force x*a = y*a and b*x = b*y."""
-    left, right = _kernels(s)
+    left, right = s.fact(_kernels)
     for a, (la, ra) in enumerate(zip(left, right)):
         for b, (lb, rb) in enumerate(zip(left, right)):
             for x in range(len(la)):
@@ -83,8 +85,8 @@ def is_quasi_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
     fresh identity treats b and c identically (the three product
     equalities hold or fail together for all x, y) and some a has
     a*b = a*c, then the table is not quasi-cancellative."""
-    left, _ = _kernels(s)
-    for b, related in enumerate(_canonical(s).rows):
+    left, _ = s.fact(_kernels)
+    for b, related in enumerate(s.fact(_canonical).rows):
         m = related & ~(1 << b) & reduce(or_, [la[b] for la in left])
         if m:
             return False, (b, _low_bit(m))
@@ -101,11 +103,11 @@ def _first_collision(kernels) -> tuple[bool, Optional[tuple]]:
 
 
 def is_left_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
-    return _first_collision(_kernels(s)[0])
+    return _first_collision(s.fact(_kernels)[0])
 
 
 def is_right_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
-    return _first_collision(_kernels(s)[1])
+    return _first_collision(s.fact(_kernels)[1])
 
 
 def is_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
@@ -118,7 +120,7 @@ def is_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
 def has_square_descent(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
     """Equalities against a*a descend to equalities against a:
     a2*x = a2*y and x*a2 = y*a2 force a*x = a*y and x*a = y*a."""
-    left, right = _kernels(s)
+    left, right = s.fact(_kernels)
     rows = s.rows
     for a, (la, ra) in enumerate(zip(left, right)):
         aa = rows[a][a]
@@ -184,22 +186,22 @@ _PREDICATES = {
 }
 
 
-def _build_profile(verdict) -> PropertyProfile:
-    """Assemble a profile from `verdict(key)`, which gives the verdict
-    and first witness of the classifier `key`."""
+def _holds(s: CayleyTable, key: str) -> tuple[bool, Optional[tuple]]:
+    """Verdict and first witness of the classifier `key`, a fact of `s`."""
+    return s.fact(_PREDICATES[key])
+
+
+def classify(s: CayleyTable) -> PropertyProfile:
+    """Every classifier's verdict, read from the table's facts, with first
+    witnesses for the failures."""
     values = {}
     witnesses = {}
     for key in _PREDICATES:
-        ok, w = verdict(key)
+        ok, w = _holds(s, key)
         values[key] = ok
         if not ok:
             witnesses[key] = w
     return PropertyProfile(witnesses=witnesses, **values)
-
-
-def classify(s: CayleyTable) -> PropertyProfile:
-    """Run every classifier and collect first witnesses for the failures."""
-    return _build_profile(lambda key: _PREDICATES[key](s))
 
 
 def format_profile(p: PropertyProfile) -> str:

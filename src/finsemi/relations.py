@@ -152,12 +152,10 @@ def _kernel(image) -> list[int]:
 
 
 def _kernels(s: CayleyTable) -> tuple[list[list[int]], list[list[int]]]:
-    """The table's left kernels L and right kernels R, built on first use:
-    L[a][x] is the mask of all y with a*y = a*x, R[a][x] the mask of all
-    y with y*a = x*a."""
-    if s._kernels is None:
-        s._kernels = [_kernel(r) for r in s.rows], [_kernel(c) for c in zip(*s.rows)]
-    return s._kernels
+    """The left kernels L and right kernels R, read as the table fact
+    `s.fact(_kernels)`: L[a][x] is the mask of all y with a*y = a*x,
+    R[a][x] the mask of all y with y*a = x*a."""
+    return [_kernel(r) for r in s.rows], [_kernel(c) for c in zip(*s.rows)]
 
 
 def left_equalizer(s: CayleyTable, a: int) -> BinaryRelation:
@@ -250,7 +248,7 @@ def check_admissibility(s: CayleyTable, rel: BinaryRelation) -> AdmissibilityRep
     if rel.n != s.n:
         raise ValueError("relation carrier does not match the table")
     n, rows, rel_rows = s.n, s.rows, rel.rows
-    left, right = _kernels(s)
+    left, right = s.fact(_kernels)
     bal_w = next(
         (
             (a, x, _low_bit(d))
@@ -295,29 +293,27 @@ def canonical_relation(s: CayleyTable) -> BinaryRelation:
     With L[c], R[c] the kernels of c, that is: (x, y) in L[c] <=> (x, y)
     in R[c] for every c in S, and a*x*b = a*y*b <=> (x, y) in L[b*a] for
     every a, b in S; contexts using the identity give the first half.
-    Built once per table by `_canonical`, which marks the y that fail
-    for each x, one kernel of x -> a*x*b per context, until no y != x is
-    left.
+    Built once per table as the fact `s.fact(_canonical)`, which marks
+    the y that fail for each x, one kernel of x -> a*x*b per context,
+    until no y != x is left.
     """
-    return _canonical(s)
+    return s.fact(_canonical)
 
 
 def _canonical(s: CayleyTable) -> BinaryRelation:
-    if s._canonical is None:
-        n, rows = s.n, s.rows
-        left, right = _kernels(s)
-        full = (1 << n) - 1
-        bad = [0] * n
-        for lc, rc in zip(left, right):
-            bad = [m | l ^ r for m, l, r in zip(bad, lc, rc)]
-        cols = list(zip(*rows))
-        for a, b in itertools.product(range(n), repeat=2):
-            if all(m | 1 << x == full for x, m in enumerate(bad)):
-                break
-            k = _kernel([cols[b][v] for v in rows[a]])
-            bad = [m | kx ^ lx for m, kx, lx in zip(bad, k, left[rows[b][a]])]
-        s._canonical = BinaryRelation(n, [full & ~m for m in bad])
-    return s._canonical
+    n, rows = s.n, s.rows
+    left, right = s.fact(_kernels)
+    full = (1 << n) - 1
+    bad = [0] * n
+    for lc, rc in zip(left, right):
+        bad = [m | l ^ r for m, l, r in zip(bad, lc, rc)]
+    cols = list(zip(*rows))
+    for a, b in itertools.product(range(n), repeat=2):
+        if all(m | 1 << x == full for x, m in enumerate(bad)):
+            break
+        k = _kernel([cols[b][v] for v in rows[a]])
+        bad = [m | kx ^ lx for m, kx, lx in zip(bad, k, left[rows[b][a]])]
+    return BinaryRelation(n, [full & ~m for m in bad])
 
 
 def parse_relation(text: str, n: int) -> BinaryRelation:

@@ -49,7 +49,6 @@ from finsemi import (
 )
 from finsemi.cli import main as cli_main
 from finsemi.decomposition import (
-    TableFacts,
     run_checks,
     verify_congruence_construction,
     verify_semilattice_decomposition,
@@ -81,7 +80,7 @@ def test_criterion_01_congruence_suite(corpus):
     relations_checked = 0
     for tables in corpus.values():
         for s in tables:
-            r = verify_congruence_construction(TableFacts(s))
+            r = verify_congruence_construction(s)
             relations_checked += dict(r.counts)["relations_checked"]
             if r.verdict != "verified":
                 violations.append((s.rows, r.witnesses))
@@ -142,7 +141,7 @@ def test_criterion_02_decomposition_suite(corpus):
             witnesses = _eta_decomposition_witnesses(s)
             if witnesses:
                 violations.append((s.rows, witnesses))
-            if verify_semilattice_decomposition(TableFacts(s)).verdict == "violated":
+            if verify_semilattice_decomposition(s).verdict == "violated":
                 construction_misses += 1
     ok = applicable > 0 and not violations
     announce(
@@ -307,7 +306,7 @@ def test_criterion_08_square_descent_claim(corpus):
     applicable = 0
     for tables in corpus.values():
         for s in tables:
-            r = verify_square_descent_claim(TableFacts(s))
+            r = verify_square_descent_claim(s)
             if r.verdict == "violated":
                 violations.append((s.rows, r.witnesses))
             elif r.verdict == "verified":
@@ -315,7 +314,7 @@ def test_criterion_08_square_descent_claim(corpus):
     m31 = monogenic(3, 1)
     holds, witness = has_square_descent(m31)
     monogenic_ok = not holds and witness == (0, 0, 1)
-    claim_skips_monogenic = verify_square_descent_claim(TableFacts(m31)).verdict == "not-applicable"
+    claim_skips_monogenic = verify_square_descent_claim(m31).verdict == "not-applicable"
     ok = not violations and applicable > 0 and monogenic_ok and claim_skips_monogenic
     announce(
         8,

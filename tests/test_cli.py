@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from finsemi import format_table, parse_table
+from finsemi import PROFILE_KEYS, classify, format_table, parse_table
 from finsemi.cli import load_table, main
 
 import oracles
@@ -226,20 +226,31 @@ def test_enumerate_stream_round_trips(capsys):
 
 
 def test_enumerate_filter(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "enumerate",
-        "--order",
-        "2",
-        "--filter",
-        "quasi_separative",
-        "--count-only",
-    )
-    assert code == 0
-    from finsemi import classify
+    for key in PROFILE_KEYS:
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--order", "3", "--filter", key, "--count-only"
+        )
+        assert code == 0
+        corpus = oracles.labeled_corpus(3)
+        expected = sum(1 for s in corpus if getattr(classify(s), key))
+        assert (key, int(out.strip())) == (key, expected)
 
-    expected = sum(1 for s in oracles.labeled_corpus(2) if classify(s).quasi_separative)
-    assert int(out.strip()) == expected
+
+def test_enumerate_filter_runs_only_its_predicate(capsys, monkeypatch):
+    import finsemi.properties as properties
+
+    called = []
+    for key, predicate in list(properties._PREDICATES.items()):
+        def counting(s, key=key, predicate=predicate):
+            called.append(key)
+            return predicate(s)
+
+        monkeypatch.setitem(properties._PREDICATES, key, counting)
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--order", "2", "--filter", "band", "--count-only"
+    )
+    assert code == 0 and int(out.strip()) == 4
+    assert called == ["band"] * 8
 
 
 def test_enumerate_rejects_bad_filter_and_order(capsys):

@@ -33,6 +33,22 @@ def test_validate_accepts_known_semigroups():
     assert validate(MAX2).rows == ((0, 1), (1, 1))
 
 
+def test_fact_is_computed_once_per_table():
+    computed = []
+
+    def compute(s):
+        computed.append(s)
+        return [s.n]
+
+    s, twin = validate(L2), validate(L2)
+    first = s.fact(compute)
+    assert s.fact(compute) is first
+    assert computed == [s]
+    # an equal table built separately keeps facts of its own
+    assert twin.fact(compute) == first and twin.fact(compute) is not first
+    assert len(computed) == 2 and computed[1] is twin
+
+
 def test_validate_rejects_out_of_range():
     with pytest.raises(OutOfRangeEntry) as exc:
         validate([[0, 2], [1, 1]])

@@ -6,6 +6,7 @@ from finsemi import (
     NotACongruence,
     canonical_form,
     chain_semilattice,
+    classify,
     cyclic_group,
     decompose,
     is_quasi_separative,
@@ -20,7 +21,6 @@ from finsemi import (
 )
 from finsemi.decomposition import (
     CHECKS,
-    TableFacts,
     diagram_report,
     merge_reports,
     normalize_check_id,
@@ -111,47 +111,47 @@ def test_decompose_reports_non_congruence_cases_as_data():
 
 def test_verify_congruence_construction():
     for s in (L2, Z2, CHAIN2, N2, monogenic(3, 1)):
-        r = verify_congruence_construction(TableFacts(s))
+        r = verify_congruence_construction(s)
         assert r.verdict == "verified"
         assert dict(r.counts)["relations_checked"] >= 1
 
 
 def test_verify_semilattice_decomposition_examples():
-    assert verify_semilattice_decomposition(TableFacts(L2)).verdict == "verified"
-    assert verify_semilattice_decomposition(TableFacts(CHAIN2)).verdict == "verified"
-    assert verify_semilattice_decomposition(TableFacts(N2)).verdict == "not-applicable"
+    assert verify_semilattice_decomposition(L2).verdict == "verified"
+    assert verify_semilattice_decomposition(CHAIN2).verdict == "verified"
+    assert verify_semilattice_decomposition(N2).verdict == "not-applicable"
 
 
 def test_verify_class_separation_examples():
-    assert verify_class_separation(TableFacts(L2)).verdict == "verified"
-    assert verify_class_separation(TableFacts(Z2)).verdict == "verified"
-    assert verify_class_separation(TableFacts(CHAIN2)).verdict == "verified"
-    assert verify_class_separation(TableFacts(N2)).verdict == "not-applicable"
+    assert verify_class_separation(L2).verdict == "verified"
+    assert verify_class_separation(Z2).verdict == "verified"
+    assert verify_class_separation(CHAIN2).verdict == "verified"
+    assert verify_class_separation(N2).verdict == "not-applicable"
 
 
 def test_verify_cancellation_propositions():
-    assert verify_separative_cancellation(TableFacts(Z2)).verdict == "verified"
-    assert verify_separative_cancellation(TableFacts(L2)).verdict == "not-applicable"
-    assert verify_balanced_cancellation(TableFacts(Z2)).verdict == "verified"
-    assert verify_balanced_cancellation(TableFacts(N2)).verdict == "not-applicable"
+    assert verify_separative_cancellation(Z2).verdict == "verified"
+    assert verify_separative_cancellation(L2).verdict == "not-applicable"
+    assert verify_balanced_cancellation(Z2).verdict == "verified"
+    assert verify_balanced_cancellation(N2).verdict == "not-applicable"
 
 
 def test_verify_component_corollaries():
     z2x = oracles.direct_product(Z2, CHAIN2)
     for s in (CHAIN2, Z2, z2x):
-        assert verify_cancellative_components(TableFacts(s)).verdict == "verified"
-        assert verify_weakly_cancellative_components(TableFacts(s)).verdict == "verified"
+        assert verify_cancellative_components(s).verdict == "verified"
+        assert verify_weakly_cancellative_components(s).verdict == "verified"
     d = decompose(z2x)
     assert len(d.components) == 2
     for comp in d.components:
         assert canonical_form(comp.table) == canonical_form(Z2)
-    assert verify_cancellative_components(TableFacts(L2)).verdict == "not-applicable"
+    assert verify_cancellative_components(L2).verdict == "not-applicable"
 
 
 def test_verify_square_descent_claim():
-    assert verify_square_descent_claim(TableFacts(L2)).verdict == "verified"
-    assert verify_square_descent_claim(TableFacts(Z2)).verdict == "verified"
-    r = verify_square_descent_claim(TableFacts(monogenic(3, 1)))
+    assert verify_square_descent_claim(L2).verdict == "verified"
+    assert verify_square_descent_claim(Z2).verdict == "verified"
+    r = verify_square_descent_claim(monogenic(3, 1))
     assert r.verdict == "not-applicable"
     from finsemi import has_square_descent
 
@@ -159,11 +159,11 @@ def test_verify_square_descent_claim():
 
 
 def test_verify_diagram_per_table():
-    assert verify_table_diagram(TableFacts(L2)).verdict == "verified"
-    counts = dict(verify_table_diagram(TableFacts(Z2)).counts)
+    assert verify_table_diagram(L2).verdict == "verified"
+    counts = dict(verify_table_diagram(Z2).counts)
     assert counts["cancellative->separative"] == 1
     # the trivial table satisfies every hypothesis
-    assert verify_table_diagram(TableFacts(validate([[0]]))).verdict == "verified"
+    assert verify_table_diagram(validate([[0]])).verdict == "verified"
 
 
 def test_diagram_report_flags_fabricated_violation():
@@ -220,7 +220,7 @@ def test_run_checks_worker_counts_agree():
 
 def test_merge_reports_is_order_insensitive_for_totals():
     tables = list(oracles.labeled_corpus(2))
-    singles = [verify_congruence_construction(TableFacts(s)) for s in tables]
+    singles = [verify_congruence_construction(s) for s in tables]
     merged = merge_reports(singles)
     left = merge_reports([merge_reports(singles[:3]), merge_reports(singles[3:])])
     assert merged == left
@@ -287,10 +287,10 @@ def test_known_gap_components_are_not_always_quasi_cancellative():
     from finsemi import is_quasi_cancellative
 
     assert not is_quasi_cancellative(chain_component.table)[0]
-    assert verify_semilattice_decomposition(TableFacts(s)).verdict == "violated"
+    assert verify_semilattice_decomposition(s).verdict == "violated"
     # the phenomenon needs order 4: every smaller table conforms
     small = [
-        verify_semilattice_decomposition(TableFacts(t))
+        verify_semilattice_decomposition(t)
         for t in oracles.corpus_up_to(3)
     ]
     assert all(r.verdict != "violated" for r in small)
@@ -309,7 +309,7 @@ def test_known_gap_order4_violation_count():
     # the gap, and every witness is of the same kind
     violated = []
     for s in oracles.labeled_corpus(4):
-        r = verify_semilattice_decomposition(TableFacts(s))
+        r = verify_semilattice_decomposition(s)
         if r.verdict == "violated":
             violated.append(r)
     assert len(violated) == 48
@@ -352,6 +352,43 @@ def test_run_checks_decomposes_each_table_once_per_call(monkeypatch):
     # the facts die with the call: a second run decomposes again
     run_checks(tables, list(CHECKS))
     assert Counter(calls) == first + first
+
+
+def test_run_checks_induces_each_congruence_once(monkeypatch):
+    import finsemi.decomposition as decomposition
+
+    calls = []
+    original = decomposition.induced_congruence
+
+    def counting(s, rel):
+        calls.append((s.rows, rel.rows))
+        return original(s, rel)
+
+    monkeypatch.setattr(decomposition, "induced_congruence", counting)
+    run_checks(list(oracles.labeled_corpus(3)), list(CHECKS))
+    assert calls and max(Counter(calls).values()) == 1
+
+
+def test_checks_and_classify_run_each_predicate_once_per_table(monkeypatch):
+    import finsemi.properties as properties
+
+    computed = Counter()
+    tables = []  # keeps every counted table alive, so ids stay distinct
+    for key, predicate in list(properties._PREDICATES.items()):
+        def counting(s, key=key, predicate=predicate):
+            computed[id(s), key] += 1
+            tables.append(s)
+            return predicate(s)
+
+        monkeypatch.setitem(properties._PREDICATES, key, counting)
+    sources = [validate(s.rows) for s in oracles.labeled_corpus(3)]
+    for s in sources:
+        for check in CHECKS.values():
+            check(s)
+        classify(s)
+    # component tables were counted too
+    assert {id(t) for t in tables} > {id(s) for s in sources}
+    assert max(computed.values()) == 1
 
 
 @pytest.fixture

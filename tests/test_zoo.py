@@ -20,7 +20,7 @@ from finsemi import (
     semilattice_of_components,
     validate,
 )
-from finsemi.decomposition import TableFacts, verify_semilattice_decomposition
+from finsemi.decomposition import verify_semilattice_decomposition
 
 import oracles
 
@@ -188,7 +188,7 @@ def test_semilattice_of_trivial_and_left_zero():
     )
     assert built.n == 3
     assert is_quasi_separative(built)[0]
-    assert verify_semilattice_decomposition(TableFacts(built)).verdict == "verified"
+    assert verify_semilattice_decomposition(built).verdict == "verified"
 
 
 def test_semilattice_of_components_error_cases():
