@@ -61,23 +61,26 @@ def induced_congruence(s: CayleyTable, rel: BinaryRelation) -> Congruence:
 
     Raises NotACongruence with a witness (x, y, c) when elements x and y
     share a class but multiplication by c separates their products; this
-    can happen only when `rel` is not admissible.
+    can happen only when `rel` is not admissible.  Each member y is
+    compared with its class's least member x only: a c separating two
+    members separates one of them from x, so this finds the first
+    witness of the scan over all pairs of a class, which visits x's
+    pairs first.
     """
     classes = _partition(rel, s.fact(_kernels)[0])
     class_of = _class_index(s.n, classes)
     rows = s.rows
-    for cls in classes:
-        for i, x in enumerate(cls):
-            for y in cls[i + 1 :]:
-                for c in range(s.n):
-                    if class_of[rows[c][x]] != class_of[rows[c][y]]:
-                        raise NotACongruence(
-                            (x, y, c), "left multiplication separates related elements"
-                        )
-                    if class_of[rows[x][c]] != class_of[rows[y][c]]:
-                        raise NotACongruence(
-                            (x, y, c), "right multiplication separates related elements"
-                        )
+    for x, *rest in classes:
+        for y in rest:
+            for c in range(s.n):
+                if class_of[rows[c][x]] != class_of[rows[c][y]]:
+                    raise NotACongruence(
+                        (x, y, c), "left multiplication separates related elements"
+                    )
+                if class_of[rows[x][c]] != class_of[rows[y][c]]:
+                    raise NotACongruence(
+                        (x, y, c), "right multiplication separates related elements"
+                    )
     return Congruence(s.n, tuple(class_of), tuple(tuple(c) for c in classes))
 
 

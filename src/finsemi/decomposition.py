@@ -73,19 +73,19 @@ def decompose(s: CayleyTable) -> SemilatticeDecomposition:
 
     Non-quasi-separative input is not rejected: the result records what
     holds (a class not closed under the product appears as None, and the
-    semilattice flag may be False).  NotACongruence propagates when the
-    induced equivalence fails compatibility, which cannot happen for
-    quasi-separative input.
+    semilattice flag may be False).  Class i is closed iff i*i = i in the
+    quotient, which holds the class of every product of two members.
+    NotACongruence propagates when the induced equivalence fails
+    compatibility, which cannot happen for quasi-separative input.
     """
     rel = canonical_relation(s)
     cong = induced_congruence(s, rel)
     q = quotient(s, cong)
-    rows = s.rows
+    rows, qrows = s.rows, q.quotient.rows
     components: list[Optional[Component]] = []
-    for cls in cong.classes:
-        members = set(cls)
-        if all(rows[x][y] in members for x in cls for y in cls):
-            local = {g: i for i, g in enumerate(cls)}
+    for i, cls in enumerate(cong.classes):
+        if qrows[i][i] == i:
+            local = {g: j for j, g in enumerate(cls)}
             sub = [[local[rows[x][y]] for y in cls] for x in cls]
             components.append(Component(validate(sub), cls))
         else:
@@ -207,14 +207,10 @@ def _component_check(
 def _semilattice_of_weakly_cancellative(s: CayleyTable) -> bool:
     """The decomposition is a congruence with a semilattice quotient whose
     classes are all closed and weakly cancellative."""
-    try:
-        d = _decomposition(s)
-    except NotACongruence:
-        return False
-    return d.quotient_is_semilattice and all(
-        c is not None and _holds(c.table, "weakly_cancellative")[0]
-        for c in d.components
+    report = _component_check(
+        s, "square-descent", ("weakly_cancellative",), semilattice=True
     )
+    return report.verdict == "verified"
 
 
 def verify_semilattice_decomposition(s: CayleyTable) -> VerificationReport:
@@ -376,7 +372,8 @@ CHECK_IDS = tuple(CHECKS)
 
 _ALIASES = {"t10": "t6"}
 
-_WITNESS_CAP = 5
+# witnesses printed per report; the report itself keeps them all
+_WITNESSES_SHOWN = 5
 
 
 def normalize_check_id(name: str) -> str:
@@ -387,9 +384,9 @@ def normalize_check_id(name: str) -> str:
 
 
 def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
-    """Fold per-table reports for one check into an aggregate.  Merging
-    is associative, so any chunking of the corpus yields the same
-    result."""
+    """Fold per-table reports for one check into an aggregate that keeps
+    every witness.  Merging is associative, so any chunking of the corpus
+    yields the same result."""
     check = reports[0].check
     verdict = "not-applicable"
     witnesses: list = []
@@ -401,8 +398,7 @@ def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
             verdict = "violated"
         elif r.verdict == "verified" and verdict != "violated":
             verdict = "verified"
-        if len(witnesses) < _WITNESS_CAP:
-            witnesses.extend(r.witnesses[: _WITNESS_CAP - len(witnesses)])
+        witnesses.extend(r.witnesses)
         for k, v in r.counts:
             counts[k] = counts.get(k, 0) + v
     return VerificationReport(
@@ -477,7 +473,10 @@ def format_report(r: VerificationReport) -> str:
     if r.counts:
         head += " (" + ", ".join(f"{k}={v}" for k, v in r.counts) + ")"
     lines = [head]
-    lines.extend(f"  witness: {w}" for w in r.witnesses[:_WITNESS_CAP])
+    lines.extend(f"  witness: {w}" for w in r.witnesses[:_WITNESSES_SHOWN])
+    hidden = len(r.witnesses) - _WITNESSES_SHOWN
+    if hidden > 0:
+        lines.append(f"  ({hidden} more witnesses not shown)")
     return "\n".join(lines)
 
 

@@ -79,10 +79,10 @@ def _ok_after(t: list[list[int]], n: int, r: int, c: int) -> bool:
     return True
 
 
-def enumerate_labeled(n: int) -> Iterator[CayleyTable]:
-    """Yield every associative n x n table exactly once, in lexicographic
-    row-major order."""
-    _check_order(n)
+def _fills(n: int, values) -> Iterator[CayleyTable]:
+    """Every associative n x n table, filled cell by cell in row-major
+    order; each visit to a cell tries the values in the order of a fresh
+    `values()` call."""
     t = [[-1] * n for _ in range(n)]
     last = n * n
 
@@ -92,40 +92,37 @@ def enumerate_labeled(n: int) -> Iterator[CayleyTable]:
             return
         r, c = divmod(k, n)
         row = t[r]
-        for v in range(n):
+        for v in values():
             row[c] = v
             if _ok_after(t, n, r, c):
                 yield from fill(k + 1)
         row[c] = -1
 
-    yield from fill(0)
+    return fill(0)
+
+
+def enumerate_labeled(n: int) -> Iterator[CayleyTable]:
+    """Yield every associative n x n table exactly once, in lexicographic
+    row-major order."""
+    _check_order(n)
+    yield from _fills(n, lambda: range(n))
 
 
 def random_table(n: int, rng: random.Random) -> CayleyTable:
-    """A random associative table via one randomized backtracking fill.
+    """A random associative table: the first of a backtracking fill that
+    tries each cell's values in a fresh random order.
 
     Cheap and always succeeds; the distribution over semigroups is not
     uniform, which is fine for its use as fuzz input.
     """
     _check_order(n)
-    t = [[-1] * n for _ in range(n)]
-    last = n * n
 
-    def fill(k: int) -> bool:
-        if k == last:
-            return True
-        r, c = divmod(k, n)
+    def shuffled() -> list[int]:
         values = list(range(n))
         rng.shuffle(values)
-        for v in values:
-            t[r][c] = v
-            if _ok_after(t, n, r, c) and fill(k + 1):
-                return True
-        t[r][c] = -1
-        return False
+        return values
 
-    fill(0)
-    return CayleyTable(t)
+    return next(_fills(n, shuffled))
 
 
 def canonical_form(s: CayleyTable, mode: str = "iso_anti") -> CayleyTable:

@@ -131,19 +131,22 @@ def has_square_descent(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
     return True, None
 
 
-PROFILE_KEYS = (
-    "commutative",
-    "band",
-    "cancellative",
-    "left_cancellative",
-    "right_cancellative",
-    "separative",
-    "quasi_separative",
-    "weakly_cancellative",
-    "weakly_balanced",
-    "quasi_cancellative",
-    "square_descent",
-)
+_PREDICATES = {
+    "commutative": _commutative_with_witness,
+    "band": _band_with_witness,
+    "cancellative": is_cancellative,
+    "left_cancellative": is_left_cancellative,
+    "right_cancellative": is_right_cancellative,
+    "separative": is_separative,
+    "quasi_separative": is_quasi_separative,
+    "weakly_cancellative": is_weakly_cancellative,
+    "weakly_balanced": is_weakly_balanced,
+    "quasi_cancellative": is_quasi_cancellative,
+    "square_descent": has_square_descent,
+}
+
+
+PROFILE_KEYS = tuple(_PREDICATES)
 
 
 @dataclass(frozen=True, eq=True)
@@ -169,21 +172,6 @@ class PropertyProfile:
 
     def as_dict(self) -> dict[str, bool]:
         return {k: getattr(self, k) for k in PROFILE_KEYS}
-
-
-_PREDICATES = {
-    "commutative": _commutative_with_witness,
-    "band": _band_with_witness,
-    "cancellative": is_cancellative,
-    "left_cancellative": is_left_cancellative,
-    "right_cancellative": is_right_cancellative,
-    "separative": is_separative,
-    "quasi_separative": is_quasi_separative,
-    "weakly_cancellative": is_weakly_cancellative,
-    "weakly_balanced": is_weakly_balanced,
-    "quasi_cancellative": is_quasi_cancellative,
-    "square_descent": has_square_descent,
-}
 
 
 def _holds(s: CayleyTable, key: str) -> tuple[bool, Optional[tuple]]:

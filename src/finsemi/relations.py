@@ -213,32 +213,28 @@ def _first_unstable(rows, rel_rows, kernels, translations, on_left: bool):
     rel and in kernels[a*b] but its image under t = translations[b] (on
     the left) or translations[a] (on the right) not in rel.
 
-    The test for (a, b) reads only t and the pairs of rel in kernels[a*b],
-    so each combination is scanned once (one that fails returns at its
-    first occurrence).  x's image row r = rel[t[x]] is read through
-    pulled[i, r], the mask of all y with t[y] in r, built once per
-    translation index i and row."""
+    bad[i][x] is the mask of all y with (x, y) in rel and (t[x], t[y])
+    not in rel for t = translations[i], read through the pull-back of
+    rel's row t[x], built once per distinct row.  So (a, b) fails at
+    (x, y) exactly when y is in bad[i][x] & kernels[a*b][x], and only
+    the translations with some bad pair need the (a, b, x) scan."""
     n = len(rows)
-    meets: dict[tuple[int, ...], int] = {}
-    meet_of = [
-        meets.setdefault(tuple(map(int.__and__, rel_rows, k)), len(meets))
-        for k in kernels
-    ]
-    seen: set[tuple[int, int]] = set()
-    pulled: dict[tuple[int, int], int] = {}
+    bad = []
+    for t in translations:
+        pulled = {
+            r: sum(1 << y for y in range(n) if r >> t[y] & 1)
+            for r in {rel_rows[v] for v in t}
+        }
+        bad.append([m & ~pulled[rel_rows[v]] for m, v in zip(rel_rows, t)])
+    failing = [any(masks) for masks in bad]
+    if not any(failing):
+        return None
     for a, b in itertools.product(range(n), repeat=2):
-        ab, i = rows[a][b], (b if on_left else a)
-        if (meet_of[ab], i) in seen:
-            continue
-        seen.add((meet_of[ab], i))
-        t, kernel = translations[i], kernels[ab]
-        for x in range(n):
-            if m := rel_rows[x] & kernel[x]:
-                r = rel_rows[t[x]]
-                if (i, r) not in pulled:
-                    pulled[i, r] = sum(1 << y for y in range(n) if r >> t[y] & 1)
-                if m := m & ~pulled[i, r]:
-                    return (a, b, x, _low_bit(m))
+        i = b if on_left else a
+        if failing[i]:
+            for x, (m, k) in enumerate(zip(bad[i], kernels[rows[a][b]])):
+                if m & k:
+                    return (a, b, x, _low_bit(m & k))
     return None
 
 

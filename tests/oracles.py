@@ -166,6 +166,24 @@ def naive_induced_partition(s: CayleyTable, rel: set, side: str) -> list:
     return classes
 
 
+def naive_compatibility_witness(s: CayleyTable, classes) -> tuple | None:
+    """The first (witness, detail) at which the partition `classes` fails
+    compatibility with the product, or None: every pair x < y of a class,
+    classes in the given order, then c ascending, left multiplication
+    before right."""
+    n, rows = s.n, s.rows
+    class_of = {x: ci for ci, cls in enumerate(classes) for x in cls}
+    for cls in classes:
+        for i, x in enumerate(cls):
+            for y in cls[i + 1 :]:
+                for c in range(n):
+                    if class_of[rows[c][x]] != class_of[rows[c][y]]:
+                        return (x, y, c), "left multiplication separates related elements"
+                    if class_of[rows[x][c]] != class_of[rows[y][c]]:
+                        return (x, y, c), "right multiplication separates related elements"
+    return None
+
+
 def sample_relations(s: CayleyTable) -> list:
     """Relations to test admissibility and induced partitions on, as sets
     of pairs: the diagonal, the full relation, the canonical relation and

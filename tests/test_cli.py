@@ -168,6 +168,11 @@ def test_verify_corpus_4_t6_reports_violations(capsys):
         "witness: (((0, 0, 0, 0), (0, 1, 0, 1), (2, 2, 2, 2), (0, 1, 2, 3)), "
         "('component_not_quasi_cancellative', 1, (0, 1)))" in out
     )
+    # the 48 misses pinned by test_known_gap_order4_violation_count: five
+    # are printed, and the rest are counted, not dropped silently
+    lines = out.splitlines()
+    assert sum(line.startswith("  witness: ") for line in lines) == 5
+    assert lines[6] == "  (43 more witnesses not shown)"
 
 
 def test_verify_workers_do_not_change_output(capsys):

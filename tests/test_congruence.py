@@ -77,15 +77,18 @@ def test_dual_induced_agrees_whenever_balanced():
 
 
 def test_induced_partitions_match_oracle():
-    for s in oracles.corpus_up_to(3):
+    for s in oracles.corpus_up_to(3) + oracles.zoo_tables():
         for pairs in oracles.sample_relations(s):
             rel = BinaryRelation.from_pairs(s.n, pairs)
             left = oracles.naive_induced_partition(s, pairs, "left")
             right = oracles.naive_induced_partition(s, pairs, "right")
+            expected = oracles.naive_compatibility_witness(s, left)
             try:
                 assert induced_congruence(s, rel).classes == tuple(left)
-            except NotACongruence:
-                pass
+            except NotACongruence as exc:
+                assert (exc.witness, exc.detail) == expected
+            else:
+                assert expected is None
             assert dual_induced_agrees(s, rel) == (left == right)
 
 

@@ -320,6 +320,18 @@ def test_known_gap_order4_violation_count():
     )
 
 
+def test_run_checks_keeps_every_t6_witness():
+    # the aggregate keeps all 48 misses of test_known_gap_order4_violation_count,
+    # each tagged with its table, in corpus order
+    tables = oracles.labeled_corpus(4)
+    expected = [
+        (s.rows, w) for s in tables for w in verify_semilattice_decomposition(s).witnesses
+    ]
+    (r,) = run_checks(tables, ["t6"])
+    assert len(r.witnesses) == 48
+    assert list(r.witnesses) == expected
+
+
 def test_check_registry_complete():
     assert set(CHECKS) == {
         "t4",
