@@ -101,8 +101,29 @@ def test_canonical_counts_iso_mode_against_orbit_oracle():
 
 
 def test_canonical_stream_yields_canonical_representatives():
-    for s in enumerate_canonical(3):
-        assert canonical_form(s) == s
+    # lex-leader oracle: a labeled table represents its class when it is
+    # <= every relabeling of itself (and of its transpose in iso_anti
+    # mode) built by oracles.relabel; the counts are OEIS A001423 (iso)
+    # and A027851 (iso_anti)
+    from itertools import permutations
+
+    counts = {"iso": (1, 5, 24, 188), "iso_anti": (1, 4, 18, 126)}
+    for n in (1, 2, 3, 4):
+        perms = list(permutations(range(n)))
+        leaders = {"iso": [], "iso_anti": []}
+        for s in enumerate_labeled(n):
+            least = {"iso": min(oracles.relabel(s.rows, p) for p in perms)}
+            least["iso_anti"] = min(
+                least["iso"],
+                min(oracles.relabel(s.transpose().rows, p) for p in perms),
+            )
+            for mode, m in least.items():
+                assert canonical_form(s, mode).rows == m
+                if s.rows <= m:
+                    leaders[mode].append(s.rows)
+        for mode, expected in leaders.items():
+            assert [s.rows for s in enumerate_canonical(n, mode)] == expected
+            assert len(expected) == counts[mode][n - 1]
 
 
 def test_profile_invariant_under_relabeling():
