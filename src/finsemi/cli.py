@@ -30,7 +30,13 @@ from .decomposition import (
     search_cor15_converse,
     strictness_witnesses,
 )
-from .enumeration import MAX_ORDER, OrderTooLarge, enumerate_canonical, enumerate_labeled
+from .enumeration import (
+    MAX_ORDER,
+    OrderTooLarge,
+    _check_order,
+    enumerate_canonical,
+    enumerate_labeled,
+)
 from .properties import PROFILE_KEYS, _holds, classify, format_profile
 from .relations import (
     BinaryRelation,
@@ -147,8 +153,7 @@ def cmd_verify(args) -> int:
     if args.corpus is not None and args.table is not None:
         raise ValueError("verify takes a table or --corpus, not both")
     if args.corpus is not None:
-        if not 1 <= args.corpus <= MAX_ORDER:
-            raise OrderTooLarge(args.corpus)
+        _check_order(args.corpus)
         tables = list(enumerate_labeled(args.corpus))
     elif args.table is not None:
         tables = [load_table(args.table)]
@@ -166,8 +171,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if not 1 <= args.order <= MAX_ORDER:
-        raise OrderTooLarge(args.order)
+    _check_order(args.order)
     if args.mode is not None and not args.canonical:
         raise ValueError("--mode applies only with --canonical")
     if args.filter is not None and args.filter not in PROFILE_KEYS:

@@ -27,7 +27,7 @@ from .congruence import (
     quotient,
 )
 from .core import CayleyTable, validate
-from .enumeration import MAX_ORDER, OrderTooLarge, enumerate_canonical
+from .enumeration import _check_order, enumerate_canonical
 from .properties import PropertyProfile, _holds, classify
 from .relations import (
     BinaryRelation,
@@ -501,8 +501,7 @@ def search_cor15_converse(
     the range is exhausted.  The outcome is reported neutrally: finding
     a table and finding none are both valid results.
     """
-    if not 1 <= max_order <= MAX_ORDER:
-        raise OrderTooLarge(max_order)
+    _check_order(max_order)
     for n in range(1, max_order + 1):
         tables = list(enumerate_canonical(n, "iso_anti"))
         hits = _map_chunks(_first_candidate, tables, workers)

@@ -5,7 +5,8 @@ every product triple that just became fully determined is checked, so
 complete grids are associative by construction and stream out in
 lexicographic order.  Canonical forms minimize over all relabelings and,
 optionally, over the transpose as well, which identifies mirror-image
-tables.
+tables.  The canonical stream keeps the labeled tables that are their
+own canonical form (lex leaders), and remembers nothing.
 """
 
 from __future__ import annotations
@@ -112,8 +113,10 @@ def random_table(n: int, rng: random.Random) -> CayleyTable:
     """A random associative table: the first of a backtracking fill that
     tries each cell's values in a fresh random order.
 
-    Cheap and always succeeds; the distribution over semigroups is not
-    uniform, which is fine for its use as fuzz input.
+    Always succeeds, but one draw can take seconds at order 5, since a
+    bad early choice is searched to the end before it is undone.  The
+    distribution over semigroups is not uniform, which is fine for its
+    use as fuzz input.
     """
     _check_order(n)
 
@@ -125,39 +128,40 @@ def random_table(n: int, rng: random.Random) -> CayleyTable:
     return next(_fills(n, shuffled))
 
 
+def _relabelings(s: CayleyTable, mode: str) -> Iterator[tuple]:
+    """Every relabeling of `s` as row tuples, and in "iso_anti" mode every
+    relabeling of its transpose as well.  The relabeling by `perm` maps
+    cell (i, j) to perm[base[inv[i]][inv[j]]], inv being perm's inverse."""
+    if mode not in ("iso", "iso_anti"):
+        raise ValueError(f"mode must be 'iso' or 'iso_anti', got {mode!r}")
+    bases = [s.rows]
+    if mode == "iso_anti":
+        bases.append(tuple(zip(*s.rows)))
+    for perm in permutations(range(s.n)):
+        inv = sorted(range(s.n), key=perm.__getitem__)
+        for base in bases:
+            yield tuple([tuple([perm[base[a][b]] for b in inv]) for a in inv])
+
+
 def canonical_form(s: CayleyTable, mode: str = "iso_anti") -> CayleyTable:
     """The lexicographically smallest row-major table among all
     relabelings of `s`; in "iso_anti" mode the minimum also ranges over
     relabelings of the transpose, so a table and its mirror image share
     one canonical form."""
-    if mode not in ("iso", "iso_anti"):
-        raise ValueError(f"mode must be 'iso' or 'iso_anti', got {mode!r}")
-    n = s.n
-    bases = [s.rows]
-    if mode == "iso_anti":
-        bases.append(tuple(zip(*s.rows)))
-    rng = range(n)
-    best = None
-    for base in bases:
-        for perm in permutations(rng):
-            inv = [0] * n
-            for i, p in enumerate(perm):
-                inv[p] = i
-            cand = tuple(
-                tuple(perm[base[inv[i]][inv[j]]] for j in rng) for i in rng
-            )
-            if best is None or cand < best:
-                best = cand
-    return CayleyTable(best)
+    return CayleyTable(min(_relabelings(s, mode)))
 
 
 def enumerate_canonical(n: int, mode: str = "iso_anti") -> Iterator[CayleyTable]:
     """One representative (the canonical form) per isomorphism class, or
     per isomorphism-and-mirror class in "iso_anti" mode, in order of
-    first appearance in the labeled stream."""
-    seen: set[tuple] = set()
+    first appearance in the labeled stream.
+
+    A class is closed under relabeling (and transposing, in "iso_anti"
+    mode) and the labeled stream holds all of it in lexicographic order,
+    so a class first appears as its least member, which is its canonical
+    form.  A labeled table is therefore yielded exactly when no
+    relabeling of it is smaller; no memory of earlier classes is kept.
+    """
     for s in enumerate_labeled(n):
-        cf = canonical_form(s, mode)
-        if cf.rows not in seen:
-            seen.add(cf.rows)
-            yield cf
+        if all(s.rows <= t for t in _relabelings(s, mode)):
+            yield s

@@ -261,18 +261,20 @@ def check_admissibility(s: CayleyTable, rel: BinaryRelation) -> AdmissibilityRep
     )
 
 
-def context_equivalent(mt, size: int, x: int, y: int) -> bool:
-    """True when for every a, b in the given monoid table the three
-    equalities a*x*b = a*y*b, x*b*a = y*b*a, b*a*x = b*a*y hold or fail
-    together."""
-    for a in range(size):
-        ax, ay = mt[a][x], mt[a][y]
-        for b in range(size):
-            s1 = mt[ax][b] == mt[ay][b]
-            ba = mt[b][a]
-            if s1 != (mt[ba][x] == mt[ba][y]):
+def context_equivalent(mul, elems, x, y) -> bool:
+    """True when for every a, b in `elems` the three equalities
+    a*x*b = a*y*b, b*a*x = b*a*y, x*b*a = y*b*a hold or fail together,
+    with `mul` an associative product.  With the carrier plus an
+    adjoined identity as `elems`, this is the pairwise definition of
+    `canonical_relation`, which is built from kernels instead."""
+    for a in elems:
+        ax, ay = mul(a, x), mul(a, y)
+        for b in elems:
+            s1 = mul(ax, b) == mul(ay, b)
+            ba = mul(b, a)
+            if s1 != (mul(ba, x) == mul(ba, y)):
                 return False
-            if s1 != (mt[mt[x][b]][a] == mt[mt[y][b]][a]):
+            if s1 != (mul(x, ba) == mul(y, ba)):
                 return False
     return True
 
@@ -280,9 +282,9 @@ def context_equivalent(mt, size: int, x: int, y: int) -> bool:
 def canonical_relation(s: CayleyTable) -> BinaryRelation:
     """The relation of context-independent pairs.
 
-    (x, y) is included when, over the carrier with a fresh identity
-    adjoined, every sandwiching context yields the three product
-    equalities all true or all false (`context_equivalent`).  Always
+    (x, y) is included when `context_equivalent` holds for it with the
+    carrier plus a fresh identity as contexts: every sandwiching context
+    yields the three product equalities all true or all false.  Always
     reflexive and symmetric, and always balanced; it is the relation the
     decomposition module feeds to the induced congruence.
 

@@ -8,6 +8,7 @@ from typing import Mapping, Optional, Sequence
 
 from .congruence import is_semilattice
 from .core import CayleyTable, validate
+from .relations import context_equivalent
 
 
 def left_zero(n: int) -> CayleyTable:
@@ -236,24 +237,10 @@ def bicyclic_bounded_check(property_name: str, limit: int) -> bool:
                     bicyclic_mul(a, b) == bicyclic_mul(a, c) for a in elems
                 ):
                     continue
-                if _bicyclic_context_equivalent(b, c, elems):
+                if context_equivalent(bicyclic_mul, elems, b, c):
                     return False
         return True
     raise ValueError(f"unknown property {property_name!r}")
-
-
-def _bicyclic_context_equivalent(b, c, elems) -> bool:
-    for x in elems:
-        xb = bicyclic_mul(x, b)
-        xc = bicyclic_mul(x, c)
-        for y in elems:
-            s1 = bicyclic_mul(xb, y) == bicyclic_mul(xc, y)
-            yx = bicyclic_mul(y, x)
-            if s1 != (bicyclic_mul(yx, b) == bicyclic_mul(yx, c)):
-                return False
-            if s1 != (bicyclic_mul(b, yx) == bicyclic_mul(c, yx)):
-                return False
-    return True
 
 
 def _require_positive(n: int):

@@ -245,19 +245,25 @@ def direct_product(s: CayleyTable, t: CayleyTable) -> CayleyTable:
     return CayleyTable(grid)
 
 
+def literal_context_equivalent(mul, elems, b, c) -> bool:
+    """For all contexts x, y in `elems`, the three equalities
+    (x*b)*y = (x*c)*y, (y*x)*b = (y*x)*c and b*(y*x) = c*(y*x) hold or
+    fail together."""
+    for x in elems:
+        for y in elems:
+            s1 = mul(mul(x, b), y) == mul(mul(x, c), y)
+            s2 = mul(mul(y, x), b) == mul(mul(y, x), c)
+            s3 = mul(b, mul(y, x)) == mul(c, mul(y, x))
+            if not (s1 == s2 == s3):
+                return False
+    return True
+
+
 def naive_context_equivalent(s: CayleyTable, b: int, c: int) -> bool:
     """The quasi-cancellativity premise for the pair (b, c), recomputed
     from scratch over the carrier plus a hand-adjoined identity."""
     mt = adjoin_identity_grid(s.rows)
-    m = s.n + 1
-    for x in range(m):
-        for y in range(m):
-            s1 = mt[mt[x][b]][y] == mt[mt[x][c]][y]
-            s2 = mt[mt[y][x]][b] == mt[mt[y][x]][c]
-            s3 = mt[b][mt[y][x]] == mt[c][mt[y][x]]
-            if not (s1 == s2 == s3):
-                return False
-    return True
+    return literal_context_equivalent(lambda u, v: mt[u][v], range(s.n + 1), b, c)
 
 
 def naive_quasi_cancellative(s: CayleyTable) -> bool:

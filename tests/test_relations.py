@@ -3,8 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsemi import (
+    BicyclicElement,
     BinaryRelation,
     FormatError,
+    bicyclic_mul,
     canonical_relation,
     chain_semilattice,
     check_admissibility,
@@ -19,6 +21,7 @@ from finsemi import (
     translate_right,
     validate,
 )
+from finsemi.relations import context_equivalent
 
 import oracles
 
@@ -162,6 +165,28 @@ def test_canonical_relation_examples():
 def test_canonical_relation_matches_naive_oracle():
     for s in oracles.oracle_tables():
         assert pairs_set(canonical_relation(s)) == oracles.naive_canonical_relation(s)
+
+
+def test_context_equivalent_matches_naive_oracle():
+    for s in oracles.corpus_up_to(3):
+        mt = oracles.adjoin_identity_grid(s.rows)
+        mul = s.mul
+        for x in range(s.n):
+            for y in range(s.n):
+                got = context_equivalent(lambda a, b: mt[a][b], range(s.n + 1), x, y)
+                assert got == oracles.naive_context_equivalent(s, x, y), (s.rows, x, y)
+                # over a context set closed under the product and holding an
+                # identity any two equalities imply the third; the carrier
+                # alone and bounded bicyclic elements are not such sets
+                assert context_equivalent(
+                    mul, range(s.n), x, y
+                ) == oracles.literal_context_equivalent(mul, range(s.n), x, y)
+    elems = [BicyclicElement(m, n) for m in range(3) for n in range(3)]
+    for x in elems:
+        for y in elems:
+            assert context_equivalent(
+                bicyclic_mul, elems, x, y
+            ) == oracles.literal_context_equivalent(bicyclic_mul, elems, x, y)
 
 
 def test_canonical_relation_reflexive_symmetric():
