@@ -5,15 +5,18 @@ every product triple that just became fully determined is checked, so
 complete grids are associative by construction and stream out in
 lexicographic order.  Canonical forms minimize over all relabelings and,
 optionally, over the transpose as well, which identifies mirror-image
-tables.  The canonical stream keeps the labeled tables that are their
-own canonical form (lex leaders), and remembers nothing.
+tables.  The canonical stream is the labeled tables that are their own
+canonical form (lex leaders).  The fill that makes it compares each
+partial table with its relabelings and abandons a branch as soon as one
+of them is smaller, so it builds few of the labeled tables, and it
+remembers no earlier class.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import permutations
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .core import CayleyTable
 
@@ -80,12 +83,54 @@ def _ok_after(t: list[list[int]], n: int, r: int, c: int) -> bool:
     return True
 
 
-def _fills(n: int, values) -> Iterator[CayleyTable]:
+def _fills(n: int, values, relabelings=()) -> Iterator[CayleyTable]:
     """Every associative n x n table, filled cell by cell in row-major
     order; each visit to a cell tries the values in the order of a fresh
-    `values()` call."""
+    `values()` call.
+
+    `relabelings` lists (perm, src) pairs as `_relabelings` builds them.
+    When it is nonempty, only the tables that are <= each of those
+    relabelings of themselves come out, and the search is cut as soon as
+    a partial table loses to one: every cell that decided the comparison
+    is filled, so each completion loses the same way.  A relabeling whose
+    comparison has stopped at position `pos` waits in `waiting` on the
+    later of the cells `pos` and `src[pos]`; once that cell is accepted,
+    it resumes until it meets a cell not yet filled, and is dropped once
+    it compares greater.
+    """
     t = [[-1] * n for _ in range(n)]
     last = n * n
+    flat = [-1] * last  # the accepted cells of t in row-major order
+    waiting = [[] for _ in range(last)]
+    for perm, src in relabelings:
+        waiting[src[0]].append((perm, src, 0))
+
+    def resume(k: int) -> Optional[list[int]]:
+        """Resume every relabeling waiting on cell k and park it on the
+        next cell it needs; the cells parked on, or None (and nothing
+        parked) when one relabeling is already smaller than the table."""
+        parked = []
+        for perm, src, pos in waiting[k]:
+            while True:
+                a = flat[pos]
+                b = perm[flat[src[pos]]]
+                if a != b:
+                    break
+                pos += 1
+                if pos == last:
+                    break
+                w = src[pos]
+                if w < pos:
+                    w = pos
+                if w > k:
+                    waiting[w].append((perm, src, pos))
+                    parked.append(w)
+                    break
+            if b < a:
+                for w in parked:
+                    waiting[w].pop()
+                return None
+        return parked
 
     def fill(k: int) -> Iterator[CayleyTable]:
         if k == last:
@@ -93,10 +138,16 @@ def _fills(n: int, values) -> Iterator[CayleyTable]:
             return
         r, c = divmod(k, n)
         row = t[r]
+        due = waiting[k]
         for v in values():
             row[c] = v
             if _ok_after(t, n, r, c):
-                yield from fill(k + 1)
+                flat[k] = v
+                parked = resume(k) if due else ()
+                if parked is not None:
+                    yield from fill(k + 1)
+                    for w in parked:
+                        waiting[w].pop()
         row[c] = -1
 
     return fill(0)
@@ -128,19 +179,20 @@ def random_table(n: int, rng: random.Random) -> CayleyTable:
     return next(_fills(n, shuffled))
 
 
-def _relabelings(s: CayleyTable, mode: str) -> Iterator[tuple]:
-    """Every relabeling of `s` as row tuples, and in "iso_anti" mode every
-    relabeling of its transpose as well.  The relabeling by `perm` maps
-    cell (i, j) to perm[base[inv[i]][inv[j]]], inv being perm's inverse."""
+def _relabelings(n: int, mode: str) -> Iterator[tuple]:
+    """Every relabeling of an n-element table as a pair (perm, src), the
+    identity first: position i*n + j of the relabeled table t' holds
+    perm[t[src[i*n + j]]], so t'[i][j] = perm[t[inv[i]][inv[j]]], inv
+    being perm's inverse.  In "iso_anti" mode every relabeling of the
+    transpose follows its permutation's, with source cell (inv[j], inv[i])."""
     if mode not in ("iso", "iso_anti"):
         raise ValueError(f"mode must be 'iso' or 'iso_anti', got {mode!r}")
-    bases = [s.rows]
-    if mode == "iso_anti":
-        bases.append(tuple(zip(*s.rows)))
-    for perm in permutations(range(s.n)):
-        inv = sorted(range(s.n), key=perm.__getitem__)
-        for base in bases:
-            yield tuple([tuple([perm[base[a][b]] for b in inv]) for a in inv])
+    cells = range(n)
+    for perm in permutations(cells):
+        inv = sorted(cells, key=perm.__getitem__)
+        yield perm, tuple([inv[i] * n + inv[j] for i in cells for j in cells])
+        if mode == "iso_anti":
+            yield perm, tuple([inv[j] * n + inv[i] for i in cells for j in cells])
 
 
 def canonical_form(s: CayleyTable, mode: str = "iso_anti") -> CayleyTable:
@@ -148,7 +200,12 @@ def canonical_form(s: CayleyTable, mode: str = "iso_anti") -> CayleyTable:
     relabelings of `s`; in "iso_anti" mode the minimum also ranges over
     relabelings of the transpose, so a table and its mirror image share
     one canonical form."""
-    return CayleyTable(min(_relabelings(s, mode)))
+    n = s.n
+    flat = [v for row in s.rows for v in row]
+    least = min(
+        tuple([perm[flat[i]] for i in src]) for perm, src in _relabelings(n, mode)
+    )
+    return CayleyTable([least[i : i + n] for i in range(0, n * n, n)])
 
 
 def enumerate_canonical(n: int, mode: str = "iso_anti") -> Iterator[CayleyTable]:
@@ -159,9 +216,12 @@ def enumerate_canonical(n: int, mode: str = "iso_anti") -> Iterator[CayleyTable]
     A class is closed under relabeling (and transposing, in "iso_anti"
     mode) and the labeled stream holds all of it in lexicographic order,
     so a class first appears as its least member, which is its canonical
-    form.  A labeled table is therefore yielded exactly when no
-    relabeling of it is smaller; no memory of earlier classes is kept.
+    form.  The stream is therefore the labeled tables that no relabeling
+    undercuts (lex leaders).  The fill checks that on partial tables and
+    cuts every branch that a relabeling already undercuts, so it never
+    builds most labeled tables; no memory of earlier classes is kept.
     """
-    for s in enumerate_labeled(n):
-        if all(s.rows <= t for t in _relabelings(s, mode)):
-            yield s
+    _check_order(n)
+    # the first relabeling is the identity, which every table ties with
+    relabelings = list(_relabelings(n, mode))[1:]
+    yield from _fills(n, lambda: range(n), relabelings)

@@ -126,6 +126,52 @@ def test_canonical_stream_yields_canonical_representatives():
             assert len(expected) == counts[mode][n - 1]
 
 
+def test_canonical_counts_order5_against_published_counts():
+    # expected values from OEIS, not from the code under test: A001423
+    # (iso), A027851 (iso and anti-iso), and A023814 (labeled) through
+    # orbit-stabilizer: the class of S holds 5!/|Aut S| labeled tables
+    from itertools import permutations
+    from math import factorial
+
+    perms = list(permutations(range(5)))
+    iso = list(enumerate_canonical(5, "iso"))
+    assert len(iso) == 1915
+    assert sum(1 for _ in enumerate_canonical(5, "iso_anti")) == 1160
+    labeled = 0
+    for s in iso:
+        automorphisms = sum(1 for p in perms if oracles.relabel(s.rows, p) == s.rows)
+        labeled += factorial(5) // automorphisms
+    assert labeled == 183732
+
+
+@pytest.mark.parametrize("mode, classes", [("iso", 188), ("iso_anti", 126)])
+def test_canonical_stream_builds_only_representatives(monkeypatch, mode, classes):
+    # the fill cuts every partial table that a relabeling already
+    # undercuts, so it builds a table for each class representative and
+    # for no other of the 3,492 labeled tables of order 4
+    import finsemi.enumeration as enumeration
+
+    built = []
+    table = enumeration.CayleyTable
+
+    def counting(rows):
+        built.append(rows)
+        return table(rows)
+
+    monkeypatch.setattr(enumeration, "CayleyTable", counting)
+    assert sum(1 for _ in enumerate_canonical(4, mode)) == classes
+    assert len(built) == classes
+
+
+def test_canonical_argument_checks():
+    with pytest.raises(ValueError):
+        list(enumerate_canonical(3, "both"))
+    with pytest.raises(OrderTooLarge):
+        list(enumerate_canonical(6))
+    with pytest.raises(OrderTooLarge):
+        list(enumerate_canonical(0, "iso"))
+
+
 def test_profile_invariant_under_relabeling():
     rng = random.Random(20240817)
     for _ in range(50):

@@ -203,6 +203,21 @@ def test_diagram_implications_small_orders():
             assert p.cancellative
 
 
+def _check_diagram_order5(s):
+    p = classify(s)
+    if p.separative:
+        assert p.quasi_separative and p.weakly_balanced
+    if p.cancellative:
+        assert p.weakly_cancellative and p.separative
+    if p.weakly_cancellative:
+        assert p.quasi_separative and p.quasi_cancellative
+    if p.separative and p.quasi_cancellative:
+        assert p.cancellative
+    if p.quasi_cancellative and p.weakly_balanced:
+        assert p.weakly_cancellative
+    assert is_quasi_separative(s)[0] == oracles.naive_quasi_separative_short(s)
+
+
 def test_diagram_implications_sampled_order5():
     import random
 
@@ -210,19 +225,20 @@ def test_diagram_implications_sampled_order5():
 
     rng = random.Random(31)
     for _ in range(200):
-        s = random_table(5, rng)
-        p = classify(s)
-        if p.separative:
-            assert p.quasi_separative and p.weakly_balanced
-        if p.cancellative:
-            assert p.weakly_cancellative and p.separative
-        if p.weakly_cancellative:
-            assert p.quasi_separative and p.quasi_cancellative
-        if p.separative and p.quasi_cancellative:
-            assert p.cancellative
-        if p.quasi_cancellative and p.weakly_balanced:
-            assert p.weakly_cancellative
-        assert is_quasi_separative(s)[0] == oracles.naive_quasi_separative_short(s)
+        _check_diagram_order5(random_table(5, rng))
+
+
+def test_diagram_implications_every_order5_class():
+    # every predicate here is invariant under relabeling and under the
+    # transpose (test_profile_under_transpose_swaps_sides), so the 1,160
+    # isomorphism-and-mirror classes (OEIS A027851) stand for all 183,732
+    # labeled tables of order 5
+    from finsemi import enumerate_canonical
+
+    tables = list(enumerate_canonical(5, "iso_anti"))
+    assert len(tables) == 1160
+    for s in tables:
+        _check_diagram_order5(s)
 
 
 def test_quasi_separative_formulations_agree():
