@@ -10,8 +10,6 @@ every small table.
 from .congruence import (
     Congruence,
     NotACongruence,
-    QuotientSemigroup,
-    dual_induced_agrees,
     induced_congruence,
     is_band,
     is_semilattice,
@@ -20,16 +18,13 @@ from .congruence import (
 )
 from .core import (
     CayleyTable,
-    EmptyWord,
     FormatError,
-    MonoidTable,
     NotAssociative,
     OutOfRangeEntry,
     adjoin_identity,
     format_table,
     is_commutative,
     parse_table,
-    product,
     validate,
 )
 from .decomposition import (
@@ -74,8 +69,6 @@ from .relations import (
     left_equalizer,
     parse_relation,
     right_equalizer,
-    translate_left,
-    translate_right,
 )
 from .zoo import (
     BICYCLIC_IDENTITY,

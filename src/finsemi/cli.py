@@ -125,7 +125,7 @@ def cmd_decompose(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        sys.stdout.write(_quotient_dot(d.quotient.quotient, d.congruence.classes))
+        sys.stdout.write(_quotient_dot(d.quotient, d.congruence.classes))
         return 0
     out = sys.stdout
     out.write(f"n: {s.n}\n")
@@ -133,7 +133,7 @@ def cmd_decompose(args) -> int:
     for i, cls in enumerate(d.congruence.classes):
         out.write(f"class {i}: {' '.join(str(e) for e in cls)}\n")
     out.write("quotient:\n")
-    out.write(format_table(d.quotient.quotient))
+    out.write(format_table(d.quotient))
     out.write(
         f"quotient_is_semilattice: {'true' if d.quotient_is_semilattice else 'false'}\n"
     )
@@ -154,7 +154,7 @@ def cmd_verify(args) -> int:
         raise ValueError("verify takes a table or --corpus, not both")
     if args.corpus is not None:
         _check_order(args.corpus)
-        tables = list(enumerate_labeled(args.corpus))
+        tables = enumerate_labeled(args.corpus)
     elif args.table is not None:
         tables = [load_table(args.table)]
     else:

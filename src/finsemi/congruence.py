@@ -1,5 +1,5 @@
 """Congruences induced by a relation, the least semilattice congruence,
-and quotient semigroups.
+and quotient tables.
 
 Two elements are identified when the relation meets their left
 equalizers identically.  For admissible relations this is always a
@@ -33,27 +33,6 @@ class Congruence:
     class_of: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
 
-    def are_related(self, x: int, y: int) -> bool:
-        return self.class_of[x] == self.class_of[y]
-
-
-@dataclass(frozen=True)
-class QuotientSemigroup:
-    quotient: CayleyTable
-    origin: Congruence
-
-
-def _partition(rel: BinaryRelation, kernels):
-    """Group elements by the relation's overlap with their kernel in
-    `kernels` (the table's left or right ones); classes ascending, ordered
-    by least member."""
-    if rel.n != len(kernels):
-        raise ValueError("relation carrier does not match the table")
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for a, kernel in enumerate(kernels):
-        groups.setdefault(tuple(map(int.__and__, rel.rows, kernel)), []).append(a)
-    return sorted(groups.values())
-
 
 def induced_congruence(s: CayleyTable, rel: BinaryRelation) -> Congruence:
     """Partition elements by the relation's overlap with their left
@@ -67,7 +46,12 @@ def induced_congruence(s: CayleyTable, rel: BinaryRelation) -> Congruence:
     witness of the scan over all pairs of a class, which visits x's
     pairs first.
     """
-    classes = _partition(rel, s.fact(_kernels)[0])
+    if rel.n != s.n:
+        raise ValueError("relation carrier does not match the table")
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for a, kernel in enumerate(s.fact(_kernels)[0]):
+        groups.setdefault(tuple(map(int.__and__, rel.rows, kernel)), []).append(a)
+    classes = sorted(groups.values())
     class_of = _class_index(s.n, classes)
     rows = s.rows
     for x, *rest in classes:
@@ -140,17 +124,9 @@ def least_semilattice_congruence(s: CayleyTable) -> Congruence:
     return Congruence(n, tuple(_class_index(n, classes)), classes)
 
 
-def dual_induced_agrees(s: CayleyTable, rel: BinaryRelation) -> bool:
-    """True when partitioning by right equalizers yields the same classes
-    as partitioning by left equalizers.  Must hold whenever `rel` is
-    balanced."""
-    left, right = s.fact(_kernels)
-    return _partition(rel, left) == _partition(rel, right)
-
-
-def quotient(s: CayleyTable, c: Congruence) -> QuotientSemigroup:
-    """Build the quotient table over class indices (ordered by minimal
-    representative) and confirm it does not depend on representatives."""
+def quotient(s: CayleyTable, c: Congruence) -> CayleyTable:
+    """The quotient table over class indices (ordered by minimal
+    representative), confirmed not to depend on representatives."""
     reps = [cls[0] for cls in c.classes]
     cls_of = c.class_of
     rows = s.rows
@@ -162,7 +138,7 @@ def quotient(s: CayleyTable, c: Congruence) -> QuotientSemigroup:
                 raise NotACongruence(
                     (x, y), "product class depends on the choice of representatives"
                 )
-    return QuotientSemigroup(validate(q), c)
+    return validate(q)
 
 
 def _band_with_witness(s: CayleyTable) -> tuple[bool, Optional[tuple]]:

@@ -6,11 +6,13 @@ entry point for untrusted grids and checks closure and associativity.
 Each table keeps the facts other modules derive from it (equalizer
 kernels, canonical relation, classifier verdicts, decomposition): `fact`
 computes one on first use and keeps it as long as the table.
+`adjoin_identity` returns a plain table whose fresh identity is the
+last element n.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 
 class OutOfRangeEntry(ValueError):
@@ -29,10 +31,6 @@ class NotAssociative(ValueError):
     def __init__(self, x: int, y: int, z: int):
         self.witness = (x, y, z)
         super().__init__(f"(x*y)*z != x*(y*z) at (x, y, z) = ({x}, {y}, {z})")
-
-
-class EmptyWord(ValueError):
-    """A product of zero factors was requested."""
 
 
 class FormatError(ValueError):
@@ -86,20 +84,6 @@ class CayleyTable:
         return f"CayleyTable({[list(r) for r in self.rows]})"
 
 
-class MonoidTable(CayleyTable):
-    """A Cayley table with a designated two-sided identity."""
-
-    __slots__ = ("identity",)
-
-    def __init__(self, rows, identity: int):
-        super().__init__(rows)
-        e = identity
-        for x in range(self.n):
-            if self.rows[e][x] != x or self.rows[x][e] != x:
-                raise ValueError(f"element {e} is not a two-sided identity")
-        self.identity = e
-
-
 def validate(grid: Iterable[Iterable[int]]) -> CayleyTable:
     """Build a CayleyTable from a raw grid, confirming closure and
     associativity.
@@ -122,8 +106,9 @@ def validate(grid: Iterable[Iterable[int]]) -> CayleyTable:
     return s
 
 
-def adjoin_identity(s: CayleyTable) -> MonoidTable:
-    """Return the table extended by one fresh two-sided identity.
+def adjoin_identity(s: CayleyTable) -> CayleyTable:
+    """Return the table extended by one fresh two-sided identity, the
+    last element n.
 
     A new identity is adjoined even when `s` already has one; the
     original products occupy the leading n x n block unchanged.
@@ -131,25 +116,7 @@ def adjoin_identity(s: CayleyTable) -> MonoidTable:
     n = s.n
     rows = [list(r) + [i] for i, r in enumerate(s.rows)]
     rows.append(list(range(n + 1)))
-    return MonoidTable(rows, n)
-
-
-def product(s: CayleyTable, word: Sequence[int]) -> int:
-    """Fold a nonempty word of element indices through the table."""
-    it = iter(word)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise EmptyWord("cannot take the product of an empty word") from None
-    n = s.n
-    if not 0 <= acc < n:
-        raise OutOfRangeEntry(0, 0, acc, n)
-    rows = s.rows
-    for x in it:
-        if not 0 <= x < n:
-            raise OutOfRangeEntry(0, 0, x, n)
-        acc = rows[acc][x]
-    return acc
+    return CayleyTable(rows)
 
 
 def _commutative_with_witness(s: CayleyTable) -> tuple[bool, Optional[tuple]]:

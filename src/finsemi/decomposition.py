@@ -21,7 +21,6 @@ from typing import Iterable, Optional, Sequence
 from .congruence import (
     Congruence,
     NotACongruence,
-    QuotientSemigroup,
     induced_congruence,
     is_semilattice,
     quotient,
@@ -56,7 +55,7 @@ class SemilatticeDecomposition:
 
     relation: BinaryRelation
     congruence: Congruence
-    quotient: QuotientSemigroup
+    quotient: CayleyTable
     components: tuple[Optional[Component], ...]
     quotient_is_semilattice: bool
 
@@ -81,7 +80,7 @@ def decompose(s: CayleyTable) -> SemilatticeDecomposition:
     rel = canonical_relation(s)
     cong = induced_congruence(s, rel)
     q = quotient(s, cong)
-    rows, qrows = s.rows, q.quotient.rows
+    rows, qrows = s.rows, q.rows
     components: list[Optional[Component]] = []
     for i, cls in enumerate(cong.classes):
         if qrows[i][i] == i:
@@ -91,7 +90,7 @@ def decompose(s: CayleyTable) -> SemilatticeDecomposition:
         else:
             components.append(None)
     return SemilatticeDecomposition(
-        rel, cong, q, tuple(components), is_semilattice(q.quotient)
+        rel, cong, q, tuple(components), is_semilattice(q)
     )
 
 

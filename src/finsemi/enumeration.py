@@ -104,53 +104,59 @@ def _fills(n: int, values, relabelings=()) -> Iterator[CayleyTable]:
     waiting = [[] for _ in range(last)]
     for perm, src in relabelings:
         waiting[src[0]].append((perm, src, 0))
+    return _fill(0, t, flat, waiting, values)
 
-    def resume(k: int) -> Optional[list[int]]:
-        """Resume every relabeling waiting on cell k and park it on the
-        next cell it needs; the cells parked on, or None (and nothing
-        parked) when one relabeling is already smaller than the table."""
-        parked = []
-        for perm, src, pos in waiting[k]:
-            while True:
-                a = flat[pos]
-                b = perm[flat[src[pos]]]
-                if a != b:
-                    break
-                pos += 1
-                if pos == last:
-                    break
-                w = src[pos]
-                if w < pos:
-                    w = pos
-                if w > k:
-                    waiting[w].append((perm, src, pos))
-                    parked.append(w)
-                    break
-            if b < a:
+
+def _resume(k: int, flat: list[int], waiting) -> Optional[list[int]]:
+    """Resume every relabeling waiting on cell k and park it on the next
+    cell it needs; the cells parked on, or None (and nothing parked) when
+    one relabeling is already smaller than the table."""
+    last = len(flat)
+    parked = []
+    for perm, src, pos in waiting[k]:
+        while True:
+            a = flat[pos]
+            b = perm[flat[src[pos]]]
+            if a != b:
+                break
+            pos += 1
+            if pos == last:
+                break
+            w = src[pos]
+            if w < pos:
+                w = pos
+            if w > k:
+                waiting[w].append((perm, src, pos))
+                parked.append(w)
+                break
+        if b < a:
+            for w in parked:
+                waiting[w].pop()
+            return None
+    return parked
+
+
+def _fill(k: int, t, flat, waiting, values) -> Iterator[CayleyTable]:
+    """The completions of the table t, whose cells before k are filled.
+    The search state is passed down, not closed over, so no frame of a
+    finished or dropped stream is kept alive by a reference cycle."""
+    if k == len(flat):
+        yield CayleyTable([row[:] for row in t])
+        return
+    n = len(t)
+    r, c = divmod(k, n)
+    row = t[r]
+    due = waiting[k]
+    for v in values():
+        row[c] = v
+        if _ok_after(t, n, r, c):
+            flat[k] = v
+            parked = _resume(k, flat, waiting) if due else ()
+            if parked is not None:
+                yield from _fill(k + 1, t, flat, waiting, values)
                 for w in parked:
                     waiting[w].pop()
-                return None
-        return parked
-
-    def fill(k: int) -> Iterator[CayleyTable]:
-        if k == last:
-            yield CayleyTable([row[:] for row in t])
-            return
-        r, c = divmod(k, n)
-        row = t[r]
-        due = waiting[k]
-        for v in values():
-            row[c] = v
-            if _ok_after(t, n, r, c):
-                flat[k] = v
-                parked = resume(k) if due else ()
-                if parked is not None:
-                    yield from fill(k + 1)
-                    for w in parked:
-                        waiting[w].pop()
-        row[c] = -1
-
-    return fill(0)
+    row[c] = -1
 
 
 def enumerate_labeled(n: int) -> Iterator[CayleyTable]:

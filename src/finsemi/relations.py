@@ -1,10 +1,13 @@
 """Binary relations over a fixed carrier and the equalizer machinery.
 
-The left equalizer of an element a relates x and y when a*x = a*y; the
-right equalizer mirrors it.  A relation is *admissible* when it meets
-both equalizers of every element identically and is stable under the two
-translation conditions below; admissible relations are exactly the ones
-whose induced equivalence is a congruence (see the congruence module).
+A `BinaryRelation` keeps one bitmask per first component; it is built,
+compared and listed, and carries no relation algebra.  The left
+equalizer of an element a relates x and y when a*x = a*y; the right
+equalizer mirrors it.  A relation is *admissible* when it meets both
+equalizers of every element identically and is stable under the two
+translation conditions of `AdmissibilityReport`; admissible relations
+are exactly the ones whose induced equivalence is a congruence (see the
+congruence module).
 """
 
 from __future__ import annotations
@@ -21,19 +24,16 @@ class BinaryRelation:
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: Optional[Iterable[int]] = None):
+    def __init__(self, n: int, rows: Iterable[int]):
         if n < 1:
             raise ValueError("carrier must be nonempty")
-        if rows is None:
-            rows = (0,) * n
-        else:
-            rows = tuple(rows)
-            if len(rows) != n:
-                raise ValueError(f"expected {n} rows, got {len(rows)}")
-            full = (1 << n) - 1
-            for i, m in enumerate(rows):
-                if m & ~full:
-                    raise ValueError(f"row {i} relates elements outside the carrier")
+        rows = tuple(rows)
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows, got {len(rows)}")
+        full = (1 << n) - 1
+        for i, m in enumerate(rows):
+            if m & ~full:
+                raise ValueError(f"row {i} relates elements outside the carrier")
         self.n = n
         self.rows = rows
 
@@ -55,17 +55,6 @@ class BinaryRelation:
         m = (1 << n) - 1
         return cls(n, (m,) * n)
 
-    @classmethod
-    def empty(cls, n: int) -> "BinaryRelation":
-        return cls(n)
-
-    def has(self, x: int, y: int) -> bool:
-        return bool(self.rows[x] >> y & 1)
-
-    def __contains__(self, pair) -> bool:
-        x, y = pair
-        return self.has(x, y)
-
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Yield pairs in ascending lexicographic order."""
         for x, m in enumerate(self.rows):
@@ -85,54 +74,6 @@ class BinaryRelation:
 
     def __hash__(self) -> int:
         return hash((self.n, self.rows))
-
-    def _check_carrier(self, other: "BinaryRelation"):
-        if self.n != other.n:
-            raise ValueError("relations live over different carriers")
-
-    def __and__(self, other: "BinaryRelation") -> "BinaryRelation":
-        self._check_carrier(other)
-        return BinaryRelation(self.n, tuple(a & b for a, b in zip(self.rows, other.rows)))
-
-    def __or__(self, other: "BinaryRelation") -> "BinaryRelation":
-        self._check_carrier(other)
-        return BinaryRelation(self.n, tuple(a | b for a, b in zip(self.rows, other.rows)))
-
-    def __le__(self, other: "BinaryRelation") -> bool:
-        self._check_carrier(other)
-        return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
-
-    def restrict(self, elements: Iterable[int]) -> "BinaryRelation":
-        """Keep only pairs with both components in `elements`."""
-        mask = 0
-        for e in elements:
-            mask |= 1 << e
-        return BinaryRelation(
-            self.n,
-            tuple(r & mask if mask >> x & 1 else 0 for x, r in enumerate(self.rows)),
-        )
-
-    def is_reflexive(self) -> bool:
-        return all(r >> x & 1 for x, r in enumerate(self.rows))
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self.rows[y] >> x & 1 for x, y in self.pairs()
-        )
-
-    def is_transitive(self) -> bool:
-        rows = self.rows
-        for r in rows:
-            reach, m = 0, r
-            while m:
-                reach |= rows[_low_bit(m)]
-                m &= m - 1
-            if reach & ~r:
-                return False
-        return True
-
-    def is_equivalence(self) -> bool:
-        return self.is_reflexive() and self.is_symmetric() and self.is_transitive()
 
     def __repr__(self) -> str:
         return f"BinaryRelation({self.n}, pairs={list(self.pairs())})"
@@ -166,24 +107,6 @@ def left_equalizer(s: CayleyTable, a: int) -> BinaryRelation:
 def right_equalizer(s: CayleyTable, a: int) -> BinaryRelation:
     """Pairs (x, y) with x*a = y*a; the kernel of right translation by a."""
     return BinaryRelation(s.n, _kernel([r[a] for r in s.rows]))
-
-
-def translate_left(s: CayleyTable, x: int, r: BinaryRelation) -> BinaryRelation:
-    """The image {(x*a, x*b) : (a, b) in r}."""
-    row = s.rows[x]
-    out = [0] * r.n
-    for a, b in r.pairs():
-        out[row[a]] |= 1 << row[b]
-    return BinaryRelation(r.n, out)
-
-
-def translate_right(s: CayleyTable, r: BinaryRelation, x: int) -> BinaryRelation:
-    """The image {(a*x, b*x) : (a, b) in r}."""
-    rows = s.rows
-    out = [0] * r.n
-    for a, b in r.pairs():
-        out[rows[a][x]] |= 1 << rows[b][x]
-    return BinaryRelation(r.n, out)
 
 
 @dataclass(frozen=True)

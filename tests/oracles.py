@@ -229,6 +229,20 @@ def naive_quasi_separative_equalizer_form(s: CayleyTable) -> bool:
     return True
 
 
+def literal_separative(s: CayleyTable) -> tuple:
+    """x*x = x*y and y*y = y*x force x = y, and so do x*x = y*x and
+    y*y = x*y; witness (x, y), x != y."""
+    n, rows = s.n, s.rows
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            xx, xy, yx, yy = rows[x][x], rows[x][y], rows[y][x], rows[y][y]
+            if (xx == xy and yy == yx) or (xx == yx and yy == xy):
+                return False, (x, y)
+    return True, None
+
+
 def direct_product(s: CayleyTable, t: CayleyTable) -> CayleyTable:
     """Componentwise product table; element (i, j) gets index i*t.n + j."""
     n, m = s.n, t.n

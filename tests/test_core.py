@@ -1,9 +1,10 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsemi import (
-    EmptyWord,
     FormatError,
     NotAssociative,
     OutOfRangeEntry,
@@ -15,7 +16,6 @@ from finsemi import (
     left_zero,
     null_semigroup,
     parse_table,
-    product,
     validate,
 )
 
@@ -84,16 +84,23 @@ def test_validate_agrees_with_brute_force_filter():
         assert accepted == set(oracles.brute_force_semigroups(n))
 
 
+def assert_last_is_identity(m):
+    e = m.n - 1
+    assert m.rows[e] == tuple(range(m.n))
+    assert tuple(r[e] for r in m.rows) == tuple(range(m.n))
+    assert validate(m.rows) == m
+
+
 def test_adjoin_identity_left_zero():
     m = adjoin_identity(validate(L2))
-    assert m.identity == 2
+    assert_last_is_identity(m)
     assert m.rows == ((0, 0, 0), (1, 1, 1), (0, 1, 2))
 
 
 def test_adjoin_identity_trivial():
     m = adjoin_identity(validate([[0]]))
     assert m.rows == ((0, 0), (0, 1))
-    assert m.identity == 1
+    assert_last_is_identity(m)
 
 
 def test_adjoin_identity_null():
@@ -105,32 +112,14 @@ def test_adjoin_identity_restriction_is_original():
     for s in (validate(L2), cyclic_group(3), chain_semilattice(4)):
         m = adjoin_identity(s)
         assert tuple(r[: s.n] for r in m.rows[: s.n]) == s.rows
+        assert_last_is_identity(m)
 
 
 def test_adjoin_identity_always_fresh():
     z2 = cyclic_group(2)
     m = adjoin_identity(z2)
-    assert m.n == 3 and m.identity == 2
-
-
-def test_product_examples():
-    assert product(validate(L2), [1, 0, 1]) == 1
-    assert product(validate(N2), [0, 1]) == 0
-    assert product(chain_semilattice(2), [1, 1, 1]) == 1
-
-
-def test_product_rejects_empty_and_bad_ids():
-    s = validate(L2)
-    with pytest.raises(EmptyWord):
-        product(s, [])
-    with pytest.raises(OutOfRangeEntry):
-        product(s, [0, 5])
-
-
-def test_product_singleton():
-    s = cyclic_group(3)
-    for x in range(3):
-        assert product(s, [x]) == x
+    assert m.n == 3
+    assert_last_is_identity(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,7 +134,8 @@ def test_product_splits_at_any_point(data, idx):
     )
     cut = data.draw(st.integers(1, len(word) - 1))
     left, right = word[:cut], word[cut:]
-    assert product(s, word) == s.mul(product(s, left), product(s, right))
+    # any bracketing of a word gives one product in a semigroup
+    assert reduce(s.mul, word) == s.mul(reduce(s.mul, left), reduce(s.mul, right))
 
 
 def test_is_commutative_examples():

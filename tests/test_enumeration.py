@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -243,3 +244,23 @@ def test_random_table_is_valid_and_seeded():
         assert validate([list(r) for r in s.rows]) == s
     rng2 = random.Random(5)
     assert [random_table(5, rng2) for _ in range(5)] == tables
+
+
+def test_streams_leave_no_reference_cycles():
+    # a finished stream and a finished draw leave nothing for the cycle
+    # collector: their search state is freed as soon as they are
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert sum(1 for _ in enumerate_canonical(4, "iso_anti")) == 126
+        assert gc.collect() == 0
+        assert sum(1 for _ in enumerate_labeled(3)) == 113
+        assert gc.collect() == 0
+        rng = random.Random(11)
+        for _ in range(5):
+            random_table(4, rng)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -257,6 +257,7 @@ def test_quasi_cancellative_matches_naive_oracle():
 @pytest.mark.parametrize(
     "predicate, oracle",
     [
+        (is_separative, oracles.literal_separative),
         (is_weakly_cancellative, oracles.literal_weakly_cancellative),
         (is_weakly_balanced, oracles.literal_weakly_balanced),
         (has_square_descent, oracles.literal_square_descent),
@@ -265,6 +266,7 @@ def test_quasi_cancellative_matches_naive_oracle():
         (is_right_cancellative, oracles.literal_right_cancellative),
     ],
     ids=[
+        "separative",
         "weakly_cancellative",
         "weakly_balanced",
         "square_descent",

@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from finsemi import (
     BicyclicElement,
@@ -17,8 +15,6 @@ from finsemi import (
     null_semigroup,
     parse_relation,
     right_equalizer,
-    translate_left,
-    translate_right,
     validate,
 )
 from finsemi.relations import context_equivalent
@@ -33,6 +29,14 @@ CHAIN2 = chain_semilattice(2)
 
 def pairs_set(rel):
     return set(rel.pairs())
+
+
+def is_equivalence(pairs, n):
+    return (
+        all((x, x) in pairs for x in range(n))
+        and all((y, x) in pairs for x, y in pairs)
+        and all((x, z) in pairs for x, y in pairs for w, z in pairs if y == w)
+    )
 
 
 def test_left_equalizer_examples():
@@ -57,36 +61,24 @@ def test_equalizers_match_naive_kernels():
 def test_equalizers_are_equivalences():
     for s in oracles.corpus_up_to(3):
         for a in range(s.n):
-            assert left_equalizer(s, a).is_equivalence()
-            assert right_equalizer(s, a).is_equivalence()
-
-
-def test_translate_left_examples():
-    assert pairs_set(translate_left(L2, 1, BinaryRelation.diagonal(2))) == {(1, 1)}
-    assert translate_left(L2, 0, BinaryRelation.empty(2)) == BinaryRelation.empty(2)
-    assert pairs_set(
-        translate_left(Z2, 1, BinaryRelation.from_pairs(2, [(0, 1)]))
-    ) == {(1, 0)}
-
-
-def test_translate_right_examples():
-    assert pairs_set(
-        translate_right(L2, BinaryRelation.from_pairs(2, [(0, 1)]), 0)
-    ) == {(0, 1)}
-    assert pairs_set(translate_right(N2, BinaryRelation.full(2), 0)) == {(0, 0)}
-    assert translate_right(Z2, BinaryRelation.empty(2), 1) == BinaryRelation.empty(2)
+            assert is_equivalence(pairs_set(left_equalizer(s, a)), s.n)
+            assert is_equivalence(pairs_set(right_equalizer(s, a)), s.n)
 
 
 def test_translation_monotonicity_laws():
-    # the four inclusion laws between equalizers of b, a, and a*b
+    # the four inclusion laws between equalizers of b, a, and a*b, with
+    # the translations x -> b*x and x -> x*a applied to pair sets
     for s in oracles.corpus_up_to(3):
+        mul = s.mul
+        left = [oracles.left_kernel_pairs(s, a) for a in range(s.n)]
+        right = [oracles.right_kernel_pairs(s, a) for a in range(s.n)]
         for a in range(s.n):
             for b in range(s.n):
-                ab = s.mul(a, b)
-                assert left_equalizer(s, b) <= left_equalizer(s, ab)
-                assert right_equalizer(s, a) <= right_equalizer(s, ab)
-                assert translate_left(s, b, left_equalizer(s, ab)) <= left_equalizer(s, a)
-                assert translate_right(s, right_equalizer(s, ab), a) <= right_equalizer(s, b)
+                ab = mul(a, b)
+                assert left[b] <= left[ab]
+                assert right[a] <= right[ab]
+                assert {(mul(b, x), mul(b, y)) for x, y in left[ab]} <= left[a]
+                assert {(mul(x, a), mul(y, a)) for x, y in right[ab]} <= right[b]
 
 
 def test_admissibility_full_relation_on_commutative():
@@ -106,8 +98,8 @@ def test_admissibility_full_on_left_zero_unbalanced():
     a, x, y = rep.balanced_witness
     assert a == 0
     # witness re-check: (x, y) sits in exactly one of the two meets
-    in_left = (x, y) in (BinaryRelation.full(2) & left_equalizer(L2, a))
-    in_right = (x, y) in (BinaryRelation.full(2) & right_equalizer(L2, a))
+    in_left = (x, y) in oracles.left_kernel_pairs(L2, a)
+    in_right = (x, y) in oracles.right_kernel_pairs(L2, a)
     assert in_left != in_right
 
 
@@ -128,13 +120,13 @@ def test_admissibility_witnesses_recheck():
             if not rep.left_stable:
                 a, b, x, y = rep.left_witness
                 ab = s.mul(a, b)
-                assert (x, y) in (rel & left_equalizer(s, ab))
-                assert not rel.has(s.mul(b, x), s.mul(b, y))
+                assert (x, y) in pairs & oracles.left_kernel_pairs(s, ab)
+                assert (s.mul(b, x), s.mul(b, y)) not in pairs
             if not rep.right_stable:
                 a, b, x, y = rep.right_witness
                 ab = s.mul(a, b)
-                assert (x, y) in (rel & right_equalizer(s, ab))
-                assert not rel.has(s.mul(x, a), s.mul(y, a))
+                assert (x, y) in pairs & oracles.right_kernel_pairs(s, ab)
+                assert (s.mul(x, a), s.mul(y, a)) not in pairs
 
 
 def test_admissibility_witnesses_match_oracle_on_zoo_tables():
@@ -191,9 +183,9 @@ def test_context_equivalent_matches_naive_oracle():
 
 def test_canonical_relation_reflexive_symmetric():
     for s in oracles.corpus_up_to(3):
-        rel = canonical_relation(s)
-        assert rel.is_reflexive()
-        assert rel.is_symmetric()
+        pairs = pairs_set(canonical_relation(s))
+        assert all((x, x) in pairs for x in range(s.n))
+        assert all((y, x) in pairs for x, y in pairs)
 
 
 def test_canonical_relation_always_balanced():
@@ -222,18 +214,21 @@ def test_meet_monotone_under_admissible_relations():
     from finsemi import admissible_candidates
 
     for s in oracles.corpus_up_to(3):
+        left = [oracles.left_kernel_pairs(s, a) for a in range(s.n)]
         for _, rel in admissible_candidates(s):
+            pairs = pairs_set(rel)
             for a in range(s.n):
-                base = rel & left_equalizer(s, a)
+                base = pairs & left[a]
                 for b in range(s.n):
-                    assert base <= (rel & left_equalizer(s, s.mul(a, b)))
-                    assert base <= (rel & left_equalizer(s, s.mul(b, a)))
+                    assert base <= pairs & left[s.mul(a, b)]
+                    assert base <= pairs & left[s.mul(b, a)]
 
 
 def test_relation_format_roundtrip():
     rel = BinaryRelation.from_pairs(3, [(0, 1), (2, 2), (1, 0)])
+    assert len(rel) == 3 and list(rel.pairs()) == [(0, 1), (1, 0), (2, 2)]
     assert parse_relation(format_relation(rel), 3) == rel
-    assert parse_relation("# nothing\n", 2) == BinaryRelation.empty(2)
+    assert parse_relation("# nothing\n", 2) == BinaryRelation(2, (0, 0))
 
 
 def test_relation_parse_errors():
@@ -251,25 +246,4 @@ def test_relation_constructors_reject_bad_input():
     with pytest.raises(ValueError):
         BinaryRelation(2, (0b100, 0))
     with pytest.raises(ValueError):
-        BinaryRelation.full(2) & BinaryRelation.full(3)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    n=st.integers(1, 6),
-    data=st.data(),
-)
-def test_relation_algebra_laws(n, data):
-    mask = st.integers(0, (1 << n) - 1)
-    r1 = BinaryRelation(n, data.draw(st.tuples(*[mask] * n)))
-    r2 = BinaryRelation(n, data.draw(st.tuples(*[mask] * n)))
-    meet = r1 & r2
-    assert meet <= r1 and meet <= r2
-    assert r1 <= (r1 | r2)
-    assert len(meet) + len(r1 | r2) == len(r1) + len(r2)
-    assert list(meet.pairs()) == sorted(pairs_set(r1) & pairs_set(r2))
-
-
-def test_restrict():
-    rel = BinaryRelation.full(3).restrict([0, 2])
-    assert pairs_set(rel) == {(0, 0), (0, 2), (2, 0), (2, 2)}
+        BinaryRelation(2, (0,))
