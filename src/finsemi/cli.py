@@ -29,6 +29,7 @@ from .decomposition import (
     run_checks,
     search_cor15_converse,
     strictness_witnesses,
+    verify_corpus,
 )
 from .enumeration import (
     MAX_ORDER,
@@ -153,13 +154,11 @@ def cmd_verify(args) -> int:
     if args.corpus is not None and args.table is not None:
         raise ValueError("verify takes a table or --corpus, not both")
     if args.corpus is not None:
-        _check_order(args.corpus)
-        tables = enumerate_labeled(args.corpus)
+        reports = verify_corpus(args.corpus, ids, workers=args.workers)
     elif args.table is not None:
-        tables = [load_table(args.table)]
+        reports = run_checks([load_table(args.table)], ids, workers=args.workers)
     else:
         raise ValueError("verify needs a table argument or --corpus")
-    reports = run_checks(tables, ids, workers=args.workers)
     for r in reports:
         print(format_report(r))
     if "diagram" in ids:
@@ -282,7 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--corpus",
         type=int,
         metavar="N",
-        help=f"check every labeled table of order N (N <= {MAX_ORDER})",
+        help=f"check every labeled table of order N (N <= {MAX_ORDER}): one "
+        "table per isomorphism class, its counts weighted by the class size, "
+        "and each member of a class that has a witness",
     )
     p.add_argument(
         "--theorem",

@@ -6,8 +6,11 @@ functions each check one structural claim on a single table and report
 verified / violated / not-applicable with re-checkable witnesses.  They
 read the decomposition and the classifier verdicts as facts of the table
 (`CayleyTable.fact`), so each is computed once per table, a component's
-once per component table; corpus aggregation and the open counterexample
-search live here too.
+once per component table.  Corpus aggregation and the open counterexample
+search live here too: `verify_corpus` reports on every labeled table of
+an order from one table per isomorphism class, each count weighted by
+the class's orbit size, and checks the members of a class one by one
+only where its representative yields a witness.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .congruence import (
@@ -26,7 +30,7 @@ from .congruence import (
     quotient,
 )
 from .core import CayleyTable, validate
-from .enumeration import _check_order, enumerate_canonical
+from .enumeration import _check_order, _orbit, enumerate_canonical
 from .properties import PropertyProfile, _holds, classify
 from .relations import (
     BinaryRelation,
@@ -464,6 +468,52 @@ def run_checks(
         out.append(
             merge_reports(parts) if parts else _report(check_id, "not-applicable")
         )
+    return out
+
+
+def _run_classes(ids, grids):
+    """Every check once on each class representative in `grids`, its
+    counts multiplied by the class's orbit size.  A class whose
+    representative yields a witness for a check is expanded: that check
+    runs on each labeled member, whose report replaces the weighted one
+    and tags its witnesses with the member's grid."""
+    collected = {check_id: [] for check_id in ids}
+    for grid in grids:
+        s = CayleyTable(grid)
+        reports = {check_id: CHECKS[check_id](s) for check_id in ids}
+        members = _orbit(s)
+        witnessed = [check_id for check_id in ids if reports[check_id].witnesses]
+        expanded = _run_chunk(witnessed, members) if witnessed else {}
+        weight = len(members)
+        for check_id, r in reports.items():
+            if check_id in expanded:
+                r = expanded[check_id]
+            else:
+                r = replace(r, counts=tuple((k, v * weight) for k, v in r.counts))
+            collected[check_id].append(r)
+    return {check_id: merge_reports(rs) for check_id, rs in collected.items()}
+
+
+def verify_corpus(
+    n: int, ids: Sequence[str], workers: int = 1
+) -> list[VerificationReport]:
+    """The reports of `run_checks` over every labeled table of order n,
+    computed on one table per isomorphism class.
+
+    Every check is invariant under relabeling, so a class's members all
+    report what its representative does: counts are the representative's
+    times the orbit size, and only a class with a witness is expanded
+    into its members, for their own witnesses.  Sorting the tagged
+    witnesses by grid restores the labeled stream's order.  Transposing
+    is no symmetry here: p7 reads left equalizers only."""
+    _check_order(n)
+    ids = list(ids)
+    grids = [s.rows for s in enumerate_canonical(n, "iso")]
+    partials = _map_chunks(functools.partial(_run_classes, ids), grids, workers)
+    out = []
+    for check_id in ids:
+        r = merge_reports([p[check_id] for p in partials])
+        out.append(replace(r, witnesses=tuple(sorted(r.witnesses, key=itemgetter(0)))))
     return out
 
 

@@ -166,23 +166,46 @@ def enumerate_labeled(n: int) -> Iterator[CayleyTable]:
     yield from _fills(n, lambda: range(n))
 
 
+class _Restart(Exception):
+    """An attempt of `random_table` used up its cell visits."""
+
+
+# cell visits allowed to the first attempt of `random_table`
+_FIRST_CAP = 64
+
+
 def random_table(n: int, rng: random.Random) -> CayleyTable:
     """A random associative table: the first of a backtracking fill that
     tries each cell's values in a fresh random order.
 
-    Always succeeds, but one draw can take seconds at order 5, since a
-    bad early choice is searched to the end before it is undone.  The
+    A bad early choice can leave the fill searching a dead subtree for
+    seconds, so each attempt may visit only so many cells (calls for a
+    fresh order); when it runs out, the draw starts again from the empty
+    table with twice the allowance.  The doubling ends every draw, and
+    the restarts cut the heavy tail of the time per draw.  The
     distribution over semigroups is not uniform, which is fine for its
     use as fuzz input.
     """
     _check_order(n)
+    cap = _FIRST_CAP
+    while True:
+        visits = 0
 
-    def shuffled() -> list[int]:
-        values = list(range(n))
-        rng.shuffle(values)
-        return values
+        def shuffled() -> list[int]:
+            nonlocal visits
+            visits += 1
+            if visits > cap:
+                raise _Restart
+            values = list(range(n))
+            rng.shuffle(values)
+            return values
 
-    return next(_fills(n, shuffled))
+        # the exception is not bound to a name, so its traceback does
+        # not keep this frame in a reference cycle
+        try:
+            return next(_fills(n, shuffled))
+        except _Restart:
+            cap *= 2
 
 
 def _relabelings(n: int, mode: str) -> Iterator[tuple]:
@@ -201,17 +224,31 @@ def _relabelings(n: int, mode: str) -> Iterator[tuple]:
             yield perm, tuple([inv[j] * n + inv[i] for i in cells for j in cells])
 
 
+def _relabeled(s: CayleyTable, mode: str) -> Iterator[tuple]:
+    """Every relabeling of `s` (and of its transpose in "iso_anti" mode)
+    as a flat row-major tuple, repeats included."""
+    flat = [v for row in s.rows for v in row]
+    for perm, src in _relabelings(s.n, mode):
+        yield tuple([perm[flat[i]] for i in src])
+
+
+def _grid(flat: tuple, n: int) -> tuple:
+    return tuple(flat[i : i + n] for i in range(0, n * n, n))
+
+
 def canonical_form(s: CayleyTable, mode: str = "iso_anti") -> CayleyTable:
     """The lexicographically smallest row-major table among all
     relabelings of `s`; in "iso_anti" mode the minimum also ranges over
     relabelings of the transpose, so a table and its mirror image share
     one canonical form."""
-    n = s.n
-    flat = [v for row in s.rows for v in row]
-    least = min(
-        tuple([perm[flat[i]] for i in src]) for perm, src in _relabelings(n, mode)
-    )
-    return CayleyTable([least[i : i + n] for i in range(0, n * n, n)])
+    return CayleyTable(_grid(min(_relabeled(s, mode)), s.n))
+
+
+def _orbit(rep: CayleyTable) -> list[tuple]:
+    """The distinct labeled tables isomorphic to `rep`, as row tuples in
+    lexicographic order, which is their order in the labeled stream.
+    Their number is n! over the number of automorphisms of `rep`."""
+    return [_grid(flat, rep.n) for flat in sorted(set(_relabeled(rep, "iso")))]
 
 
 def enumerate_canonical(n: int, mode: str = "iso_anti") -> Iterator[CayleyTable]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 from finsemi import (
     CayleyTable,
@@ -449,3 +449,11 @@ def relabel(rows, perm) -> tuple:
         for j in range(n):
             out[perm[i]][perm[j]] = perm[rows[i][j]]
     return tuple(tuple(r) for r in out)
+
+
+def automorphism_count(rows) -> int:
+    """The permutations that map the table onto itself, found by trying
+    every one of the n! relabelings."""
+    return sum(
+        1 for perm in permutations(range(len(rows))) if relabel(rows, perm) == rows
+    )

@@ -1,9 +1,11 @@
+import functools
 import io
 
 import pytest
 
-from finsemi import PROFILE_KEYS, classify, format_table, parse_table
+from finsemi import PROFILE_KEYS, classify, format_table, parse_table, run_checks
 from finsemi.cli import load_table, main
+from finsemi.decomposition import CHECK_IDS
 
 import oracles
 
@@ -181,6 +183,35 @@ def test_verify_workers_do_not_change_output(capsys):
         capsys, "verify", "--corpus", "3", "--theorem", "diagram", "--workers", "2"
     )
     assert (code1, out1) == (code2, out2)
+
+
+@functools.lru_cache(maxsize=None)
+def labeled_reports(n: int) -> dict:
+    """Every check run on every labeled table of order n, the route the
+    class path of `verify --corpus` replaces; a check's report does not
+    depend on the other checks run with it."""
+    return {r.check: r for r in run_checks(oracles.labeled_corpus(n), CHECK_IDS)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("theorem", ("all",) + CHECK_IDS)
+def test_verify_corpus_matches_the_labeled_route(capsys, monkeypatch, n, theorem):
+    argv = ["verify", "--corpus", str(n), "--theorem", theorem]
+    classes = run_cli(capsys, *argv)
+
+    def labeled(order, ids, workers=1):
+        return [labeled_reports(order)[check_id] for check_id in ids]
+
+    monkeypatch.setattr("finsemi.cli.verify_corpus", labeled)
+    assert classes == run_cli(capsys, *argv)
+
+
+def test_verify_corpus_workers_do_not_change_witnesses(capsys):
+    # order 4 has t6 witnesses in classes on both sides of the chunk split
+    argv = ["verify", "--corpus", "4", "--theorem", "all"]
+    one = run_cli(capsys, *argv, "--workers", "1")
+    assert one[0] == 1 and "(43 more witnesses not shown)" in one[1]
+    assert run_cli(capsys, *argv, "--workers", "2") == one
 
 
 def test_verify_rejects_bad_inputs(capsys):

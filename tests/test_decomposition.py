@@ -20,6 +20,7 @@ from finsemi import (
     validate,
 )
 from finsemi.decomposition import (
+    CHECK_IDS,
     CHECKS,
     diagram_report,
     merge_reports,
@@ -32,6 +33,7 @@ from finsemi.decomposition import (
     verify_separative_cancellation,
     verify_square_descent_claim,
     verify_table_diagram,
+    verify_corpus,
     verify_weakly_cancellative_components,
 )
 
@@ -443,6 +445,16 @@ def test_pool_is_capped_by_cpus_and_chunks(recording_pool):
     assert recording_pool == [3, 2, 2, 2, 3]
 
 
+def test_verify_corpus_equals_run_checks_over_labeled_tables(recording_pool):
+    # the whole reports, every witness and its order included; three
+    # chunks put the classes with t6 witnesses in different chunks
+    for n in (3, 4):
+        labeled = run_checks(oracles.labeled_corpus(n), CHECK_IDS)
+        assert verify_corpus(n, CHECK_IDS) == labeled
+        assert verify_corpus(n, CHECK_IDS, workers=3) == labeled
+    assert recording_pool == [3, 3]
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_workers_below_one_are_rejected(recording_pool, workers):
     tables = list(oracles.labeled_corpus(2))
@@ -451,4 +463,6 @@ def test_workers_below_one_are_rejected(recording_pool, workers):
             run_checks(given, ["t4"], workers=workers)
     with pytest.raises(ValueError, match=f"got {workers}"):
         search_cor15_converse(2, workers=workers)
+    with pytest.raises(ValueError, match=f"got {workers}"):
+        verify_corpus(2, ["t4"], workers=workers)
     assert recording_pool == []

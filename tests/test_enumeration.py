@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from finsemi import (
     right_zero,
     validate,
 )
+from finsemi import enumeration
+from finsemi.enumeration import _orbit
 
 import oracles
 
@@ -237,16 +240,38 @@ def test_order4_stream_is_union_of_canonical_orbits():
     assert covered == labeled
 
 
+def test_orbit_sizes_match_automorphism_counts():
+    # orbit-stabilizer: a class of order n has n! / |Aut| labeled members,
+    # and the orbits of the iso representatives partition the labeled
+    # stream, each one in stream order
+    for n in (1, 2, 3, 4):
+        members = []
+        for rep in enumerate_canonical(n, "iso"):
+            orbit = _orbit(rep)
+            automorphisms = oracles.automorphism_count(rep.rows)
+            assert len(orbit) == math.factorial(n) // automorphisms
+            assert orbit == sorted(orbit) and orbit[0] == rep.rows
+            members += orbit
+        assert sorted(members) == [s.rows for s in enumerate_labeled(n)]
+
+
+def test_orbit_sizes_sum_to_labeled_counts():
+    # OEIS A023814: labeled semigroups of order n
+    for n, labeled in ((1, 1), (2, 8), (3, 113), (4, 3492), (5, 183732)):
+        assert sum(len(_orbit(rep)) for rep in enumerate_canonical(n, "iso")) == labeled
+
+
 def test_random_table_is_valid_and_seeded():
     rng = random.Random(5)
     tables = [random_table(5, rng) for _ in range(5)]
     for s in tables:
         assert validate([list(r) for r in s.rows]) == s
+        assert oracles.grid_is_associative(s.rows)
     rng2 = random.Random(5)
     assert [random_table(5, rng2) for _ in range(5)] == tables
 
 
-def test_streams_leave_no_reference_cycles():
+def test_streams_leave_no_reference_cycles(monkeypatch):
     # a finished stream and a finished draw leave nothing for the cycle
     # collector: their search state is freed as soon as they are
     gc.collect()
@@ -261,6 +286,11 @@ def test_streams_leave_no_reference_cycles():
         for _ in range(5):
             random_table(4, rng)
         assert gc.collect() == 0
+        # a draw whose first attempts run out of cell visits and restart
+        monkeypatch.setattr(enumeration, "_FIRST_CAP", 1)
+        s = random_table(5, rng)
+        assert gc.collect() == 0
+        assert oracles.grid_is_associative(s.rows)
     finally:
         if enabled:
             gc.enable()
