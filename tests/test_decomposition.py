@@ -29,11 +29,11 @@ from finsemi.decomposition import (
     verify_cancellative_components,
     verify_class_separation,
     verify_congruence_construction,
+    verify_corpus,
     verify_semilattice_decomposition,
     verify_separative_cancellation,
     verify_square_descent_claim,
     verify_table_diagram,
-    verify_corpus,
     verify_weakly_cancellative_components,
 )
 
