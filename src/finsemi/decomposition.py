@@ -506,7 +506,6 @@ def verify_corpus(
     into its members, for their own witnesses.  Sorting the tagged
     witnesses by grid restores the labeled stream's order.  Transposing
     is no symmetry here: p7 reads left equalizers only."""
-    _check_order(n)
     ids = list(ids)
     grids = [s.rows for s in enumerate_canonical(n, "iso")]
     partials = _map_chunks(functools.partial(_run_classes, ids), grids, workers)

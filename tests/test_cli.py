@@ -178,18 +178,21 @@ def test_verify_corpus_4_t6_reports_violations(capsys):
 
 
 def test_verify_workers_do_not_change_output(capsys):
-    code1, out1, _ = run_cli(capsys, "verify", "--corpus", "3", "--theorem", "diagram")
-    code2, out2, _ = run_cli(
-        capsys, "verify", "--corpus", "3", "--theorem", "diagram", "--workers", "2"
-    )
-    assert (code1, out1) == (code2, out2)
+    # order 3 takes the labeled route; order 4 the class route, with t6
+    # witnesses in classes on both sides of the chunk split
+    for n, theorem in (("3", "diagram"), ("4", "all")):
+        argv = ["verify", "--corpus", n, "--theorem", theorem]
+        one = run_cli(capsys, *argv, "--workers", "1")
+        assert run_cli(capsys, *argv, "--workers", "2") == one
+    assert one[0] == 1 and "(43 more witnesses not shown)" in one[1]
 
 
 @functools.lru_cache(maxsize=None)
 def labeled_reports(n: int) -> dict:
-    """Every check run on every labeled table of order n, the route the
-    class path of `verify --corpus` replaces; a check's report does not
-    depend on the other checks run with it."""
+    """Every check run on every labeled table of order n, the route that
+    `verify --corpus` takes up to order 3 and the oracle of its class
+    route; a check's report does not depend on the other checks run with
+    it."""
     return {r.check: r for r in run_checks(oracles.labeled_corpus(n), CHECK_IDS)}
 
 
@@ -197,6 +200,8 @@ def labeled_reports(n: int) -> dict:
 @pytest.mark.parametrize("theorem", ("all",) + CHECK_IDS)
 def test_verify_corpus_matches_the_labeled_route(capsys, monkeypatch, n, theorem):
     argv = ["verify", "--corpus", str(n), "--theorem", theorem]
+    # the class route at every order, compared with the labeled reports
+    monkeypatch.setattr("finsemi.cli._LABELED_CORPUS_MAX", 0)
     classes = run_cli(capsys, *argv)
 
     def labeled(order, ids, workers=1):
@@ -204,14 +209,6 @@ def test_verify_corpus_matches_the_labeled_route(capsys, monkeypatch, n, theorem
 
     monkeypatch.setattr("finsemi.cli.verify_corpus", labeled)
     assert classes == run_cli(capsys, *argv)
-
-
-def test_verify_corpus_workers_do_not_change_witnesses(capsys):
-    # order 4 has t6 witnesses in classes on both sides of the chunk split
-    argv = ["verify", "--corpus", "4", "--theorem", "all"]
-    one = run_cli(capsys, *argv, "--workers", "1")
-    assert one[0] == 1 and "(43 more witnesses not shown)" in one[1]
-    assert run_cli(capsys, *argv, "--workers", "2") == one
 
 
 def test_verify_rejects_bad_inputs(capsys):

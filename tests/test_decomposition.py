@@ -447,12 +447,13 @@ def test_pool_is_capped_by_cpus_and_chunks(recording_pool):
 
 def test_verify_corpus_equals_run_checks_over_labeled_tables(recording_pool):
     # the whole reports, every witness and its order included; three
-    # chunks put the classes with t6 witnesses in different chunks
-    for n in (3, 4):
+    # chunks put the classes with t6 witnesses in different chunks; the
+    # single class of order 1 starts no pool
+    for n in (1, 2, 3, 4):
         labeled = run_checks(oracles.labeled_corpus(n), CHECK_IDS)
         assert verify_corpus(n, CHECK_IDS) == labeled
         assert verify_corpus(n, CHECK_IDS, workers=3) == labeled
-    assert recording_pool == [3, 3]
+    assert recording_pool == [3, 3, 3]
 
 
 @pytest.mark.parametrize("workers", [0, -3])
