@@ -409,25 +409,40 @@ def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
     )
 
 
-def _run_chunk(ids, grids):
+def _itself(s: CayleyTable) -> tuple:
+    """The labeled tables that a table of `run_checks` stands for."""
+    return (s.rows,)
+
+
+def _run_chunk(ids, orbit, grids):
+    """Every check once on each table s in `grids`, its counts multiplied
+    by the number of labeled tables in `orbit(s)`, of which s is the
+    first.  Where a check yields a witness, it runs on the other members
+    too, and the members' own reports replace the weighted one.  Each
+    witness is tagged with its table, so aggregated reports stay
+    re-checkable."""
     collected = {check_id: [] for check_id in ids}
     for grid in grids:
         # A fresh table per grid, not the caller's: its facts are dropped
         # with it after its checks, so a corpus run does not keep every
         # table's facts and a second run computes them again.
         s = CayleyTable(grid)
+        members = orbit(s)
+        witnessed = []
         for check_id in ids:
             r = CHECKS[check_id](s)
             if r.witnesses:
-                # tag witnesses with their table so aggregated reports
-                # stay re-checkable
-                r = VerificationReport(
-                    r.check,
-                    r.verdict,
-                    tuple((grid, w) for w in r.witnesses),
-                    r.counts,
-                )
+                witnessed.append(check_id)
+                r = replace(r, witnesses=tuple((grid, w) for w in r.witnesses))
+            else:
+                r = replace(r, counts=tuple((k, v * len(members)) for k, v in r.counts))
             collected[check_id].append(r)
+        for member in members[1:] if witnessed else ():
+            m = CayleyTable(member)
+            for check_id in witnessed:
+                r = CHECKS[check_id](m)
+                r = replace(r, witnesses=tuple((member, w) for w in r.witnesses))
+                collected[check_id].append(r)
     return {
         check_id: merge_reports(reports) if reports else None
         for check_id, reports in collected.items()
@@ -461,7 +476,7 @@ def run_checks(
     chunks, so the output is identical to a single-worker run."""
     grids = [t.rows for t in tables]
     ids = list(ids)
-    partials = _map_chunks(functools.partial(_run_chunk, ids), grids, workers)
+    partials = _map_chunks(functools.partial(_run_chunk, ids, _itself), grids, workers)
     out = []
     for check_id in ids:
         parts = [p[check_id] for p in partials if p[check_id] is not None]
@@ -469,29 +484,6 @@ def run_checks(
             merge_reports(parts) if parts else _report(check_id, "not-applicable")
         )
     return out
-
-
-def _run_classes(ids, grids):
-    """Every check once on each class representative in `grids`, its
-    counts multiplied by the class's orbit size.  A class whose
-    representative yields a witness for a check is expanded: that check
-    runs on each labeled member, whose report replaces the weighted one
-    and tags its witnesses with the member's grid."""
-    collected = {check_id: [] for check_id in ids}
-    for grid in grids:
-        s = CayleyTable(grid)
-        reports = {check_id: CHECKS[check_id](s) for check_id in ids}
-        members = _orbit(s)
-        witnessed = [check_id for check_id in ids if reports[check_id].witnesses]
-        expanded = _run_chunk(witnessed, members) if witnessed else {}
-        weight = len(members)
-        for check_id, r in reports.items():
-            if check_id in expanded:
-                r = expanded[check_id]
-            else:
-                r = replace(r, counts=tuple((k, v * weight) for k, v in r.counts))
-            collected[check_id].append(r)
-    return {check_id: merge_reports(rs) for check_id, rs in collected.items()}
 
 
 def verify_corpus(
@@ -508,7 +500,7 @@ def verify_corpus(
     is no symmetry here: p7 reads left equalizers only."""
     ids = list(ids)
     grids = [s.rows for s in enumerate_canonical(n, "iso")]
-    partials = _map_chunks(functools.partial(_run_classes, ids), grids, workers)
+    partials = _map_chunks(functools.partial(_run_chunk, ids, _orbit), grids, workers)
     out = []
     for check_id in ids:
         r = merge_reports([p[check_id] for p in partials])

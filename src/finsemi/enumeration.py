@@ -1,15 +1,15 @@
-"""Exhaustive generation of small semigroups.
+"""Exhaustive and random generation of small semigroups.
 
-Tables are filled cell by cell in row-major order; after each assignment
-every product triple that just became fully determined is checked, so
-complete grids are associative by construction and stream out in
-lexicographic order.  Canonical forms minimize over all relabelings and,
-optionally, over the transpose as well, which identifies mirror-image
-tables.  The canonical stream is the labeled tables that are their own
-canonical form (lex leaders).  The fill that makes it compares each
-partial table with its relabelings and abandons a branch as soon as one
-of them is smaller, so it builds few of the labeled tables, and it
-remembers no earlier class.
+Both fill a table cell by cell in row-major order and check, after each
+assignment, every product triple that just became fully determined, so
+complete grids are associative by construction.  The exhaustive fill
+tries the values in order and streams the tables out in lexicographic
+order; a random draw takes the first value that fits in a random order
+and starts again at a cell that none fits.  Canonical forms minimize
+over all relabelings and, optionally, over the transpose, so mirror
+images share one.  The canonical stream is the lex leaders, the labeled
+tables that are their own canonical form: the fill drops a partial table
+as soon as a relabeling of it is smaller, and remembers no earlier class.
 """
 
 from __future__ import annotations
@@ -83,10 +83,8 @@ def _ok_after(t: list[list[int]], n: int, r: int, c: int) -> bool:
     return True
 
 
-def _fills(n: int, values, relabelings=()) -> Iterator[CayleyTable]:
-    """Every associative n x n table, filled cell by cell in row-major
-    order; each visit to a cell tries the values in the order of a fresh
-    `values()` call.
+def _fills(n: int, relabelings=()) -> Iterator[CayleyTable]:
+    """Every associative n x n table, filled cell by cell in row-major order.
 
     `relabelings` lists (perm, src) pairs as `_relabelings` builds them.
     When it is nonempty, only the tables that are <= each of those
@@ -104,7 +102,7 @@ def _fills(n: int, values, relabelings=()) -> Iterator[CayleyTable]:
     waiting = [[] for _ in range(last)]
     for perm, src in relabelings:
         waiting[src[0]].append((perm, src, 0))
-    return _fill(0, t, flat, waiting, values)
+    return _fill(0, t, flat, waiting)
 
 
 def _resume(k: int, flat: list[int], waiting) -> Optional[list[int]]:
@@ -136,7 +134,7 @@ def _resume(k: int, flat: list[int], waiting) -> Optional[list[int]]:
     return parked
 
 
-def _fill(k: int, t, flat, waiting, values) -> Iterator[CayleyTable]:
+def _fill(k: int, t, flat, waiting) -> Iterator[CayleyTable]:
     """The completions of the table t, whose cells before k are filled.
     The search state is passed down, not closed over, so no frame of a
     finished or dropped stream is kept alive by a reference cycle."""
@@ -147,13 +145,13 @@ def _fill(k: int, t, flat, waiting, values) -> Iterator[CayleyTable]:
     r, c = divmod(k, n)
     row = t[r]
     due = waiting[k]
-    for v in values():
+    for v in range(n):
         row[c] = v
         if _ok_after(t, n, r, c):
             flat[k] = v
             parked = _resume(k, flat, waiting) if due else ()
             if parked is not None:
-                yield from _fill(k + 1, t, flat, waiting, values)
+                yield from _fill(k + 1, t, flat, waiting)
                 for w in parked:
                     waiting[w].pop()
     row[c] = -1
@@ -163,49 +161,32 @@ def enumerate_labeled(n: int) -> Iterator[CayleyTable]:
     """Yield every associative n x n table exactly once, in lexicographic
     row-major order."""
     _check_order(n)
-    yield from _fills(n, lambda: range(n))
-
-
-class _Restart(Exception):
-    """An attempt of `random_table` used up its cell visits."""
-
-
-# cell visits allowed to the first attempt of `random_table`
-_FIRST_CAP = 64
+    yield from _fills(n)
 
 
 def random_table(n: int, rng: random.Random) -> CayleyTable:
-    """A random associative table: the first of a backtracking fill that
-    tries each cell's values in a fresh random order.
-
-    A bad early choice can leave the fill searching a dead subtree for
-    seconds, so each attempt may visit only so many cells (calls for a
-    fresh order); when it runs out, the draw starts again from the empty
-    table with twice the allowance.  The doubling ends every draw, and
-    the restarts cut the heavy tail of the time per draw.  The
-    distribution over semigroups is not uniform, which is fine for its
-    use as fuzz input.
-    """
+    """A random associative table.  Each cell, in row-major order, gets
+    the first value, in a fresh random order, that keeps every triple it
+    completes associative; a cell that no value fits restarts the draw
+    from the empty table.  An attempt that puts 0 in every cell succeeds,
+    and each attempt does so with probability at least n**-(n*n), so a
+    draw ends with probability 1.  The tables are not uniform over
+    semigroups, which is fine for fuzz input."""
     _check_order(n)
-    cap = _FIRST_CAP
+    values = list(range(n))
     while True:
-        visits = 0
-
-        def shuffled() -> list[int]:
-            nonlocal visits
-            visits += 1
-            if visits > cap:
-                raise _Restart
-            values = list(range(n))
+        t = [[-1] * n for _ in range(n)]
+        for k in range(n * n):
+            r, c = divmod(k, n)
             rng.shuffle(values)
-            return values
-
-        # the exception is not bound to a name, so its traceback does
-        # not keep this frame in a reference cycle
-        try:
-            return next(_fills(n, shuffled))
-        except _Restart:
-            cap *= 2
+            for v in values:
+                t[r][c] = v
+                if _ok_after(t, n, r, c):
+                    break
+            else:
+                break  # a dead cell: start again
+        else:
+            return CayleyTable(t)
 
 
 def _relabelings(n: int, mode: str) -> Iterator[tuple]:
@@ -267,4 +248,4 @@ def enumerate_canonical(n: int, mode: str = "iso_anti") -> Iterator[CayleyTable]
     _check_order(n)
     # the first relabeling is the identity, which every table ties with
     relabelings = list(_relabelings(n, mode))[1:]
-    yield from _fills(n, lambda: range(n), relabelings)
+    yield from _fills(n, relabelings)

@@ -456,6 +456,23 @@ def test_verify_corpus_equals_run_checks_over_labeled_tables(recording_pool):
     assert recording_pool == [3, 3, 3]
 
 
+def test_verify_corpus_checks_each_labeled_table_at_most_once(monkeypatch):
+    # order 4 has 188 iso classes; the 2 whose representative has t6
+    # witnesses are expanded into their 48 members, and each reuses its
+    # representative's report for the member that is the representative
+    calls = []
+    original = CHECKS["t6"]
+
+    def counting(s):
+        calls.append(s.rows)
+        return original(s)
+
+    monkeypatch.setitem(CHECKS, "t6", counting)
+    verify_corpus(4, CHECK_IDS)
+    assert len(calls) == 188 + 48 - 2
+    assert max(Counter(calls).values()) == 1
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_workers_below_one_are_rejected(recording_pool, workers):
     tables = list(oracles.labeled_corpus(2))

@@ -18,7 +18,6 @@ from finsemi import (
     right_zero,
     validate,
 )
-from finsemi import enumeration
 from finsemi.enumeration import _orbit
 
 import oracles
@@ -250,6 +249,8 @@ def test_orbit_sizes_match_automorphism_counts():
             orbit = _orbit(rep)
             automorphisms = oracles.automorphism_count(rep.rows)
             assert len(orbit) == math.factorial(n) // automorphisms
+            # the representative comes first: `verify_corpus` reuses its
+            # reports for that member
             assert orbit == sorted(orbit) and orbit[0] == rep.rows
             members += orbit
         assert sorted(members) == [s.rows for s in enumerate_labeled(n)]
@@ -261,17 +262,29 @@ def test_orbit_sizes_sum_to_labeled_counts():
         assert sum(len(_orbit(rep)) for rep in enumerate_canonical(n, "iso")) == labeled
 
 
-def test_random_table_is_valid_and_seeded():
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_random_table_is_valid_and_seeded(n):
     rng = random.Random(5)
-    tables = [random_table(5, rng) for _ in range(5)]
+    tables = [random_table(n, rng) for _ in range(5)]
     for s in tables:
+        assert s.n == n
         assert validate([list(r) for r in s.rows]) == s
         assert oracles.grid_is_associative(s.rows)
     rng2 = random.Random(5)
-    assert [random_table(5, rng2) for _ in range(5)] == tables
+    assert [random_table(n, rng2) for _ in range(5)] == tables
 
 
-def test_streams_leave_no_reference_cycles(monkeypatch):
+class _CountingRandom(random.Random):
+    """Counts the value orders drawn: one per cell of each attempt."""
+
+    shuffles = 0
+
+    def shuffle(self, x):
+        self.shuffles += 1
+        super().shuffle(x)
+
+
+def test_streams_leave_no_reference_cycles():
     # a finished stream and a finished draw leave nothing for the cycle
     # collector: their search state is freed as soon as they are
     gc.collect()
@@ -286,11 +299,16 @@ def test_streams_leave_no_reference_cycles(monkeypatch):
         for _ in range(5):
             random_table(4, rng)
         assert gc.collect() == 0
-        # a draw whose first attempts run out of cell visits and restart
-        monkeypatch.setattr(enumeration, "_FIRST_CAP", 1)
-        s = random_table(5, rng)
-        assert gc.collect() == 0
-        assert oracles.grid_is_associative(s.rows)
+        # seeded order-5 draws, some of which meet a dead cell and restart
+        shuffles = []
+        for i in range(8):
+            counting = _CountingRandom(f"1/{i}")
+            s = random_table(5, counting)
+            assert gc.collect() == 0
+            assert oracles.grid_is_associative(s.rows)
+            shuffles.append(counting.shuffles)
+        # a draw that never restarts shuffles once per cell
+        assert max(shuffles) > 5 * 5
     finally:
         if enabled:
             gc.enable()
