@@ -303,7 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="check id: " + ", ".join(CHECK_IDS) + ", t10, or all",
     )
-    p.add_argument("--workers", type=int, default=1, help="parallel worker count")
+    p.add_argument(
+        "--workers", type=int, default=1, help="processes; one table or class per task"
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="stream all tables of a given order")
@@ -345,7 +347,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "from weakly cancellative components",
     )
     p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1, help="checked; the scan runs in one process"
+    )
     p.set_defaults(func=cmd_search_converse)
 
     return parser

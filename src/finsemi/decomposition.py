@@ -414,76 +414,70 @@ def _itself(s: CayleyTable) -> tuple:
     return (s.rows,)
 
 
-def _run_chunk(ids, orbit, grids):
-    """Every check once on each table s in `grids`, its counts multiplied
-    by the number of labeled tables in `orbit(s)`, of which s is the
-    first.  Where a check yields a witness, it runs on the other members
-    too, and the members' own reports replace the weighted one.  Each
-    witness is tagged with its table, so aggregated reports stay
-    re-checkable."""
-    collected = {check_id: [] for check_id in ids}
-    for grid in grids:
-        # A fresh table per grid, not the caller's: its facts are dropped
-        # with it after its checks, so a corpus run does not keep every
-        # table's facts and a second run computes them again.
-        s = CayleyTable(grid)
-        members = orbit(s)
-        witnessed = []
-        for check_id in ids:
-            r = CHECKS[check_id](s)
-            if r.witnesses:
-                witnessed.append(check_id)
-                r = replace(r, witnesses=tuple((grid, w) for w in r.witnesses))
-            else:
-                r = replace(r, counts=tuple((k, v * len(members)) for k, v in r.counts))
-            collected[check_id].append(r)
-        for member in members[1:] if witnessed else ():
-            m = CayleyTable(member)
-            for check_id in witnessed:
-                r = CHECKS[check_id](m)
-                r = replace(r, witnesses=tuple((member, w) for w in r.witnesses))
-                collected[check_id].append(r)
-    return {
-        check_id: merge_reports(reports) if reports else None
-        for check_id, reports in collected.items()
-    }
+def _check_class(ids, orbit, grid) -> dict:
+    """Each check's reports for the table `grid`: every check runs once
+    on it, its counts multiplied by the number of labeled tables in
+    `orbit(s)`, of which s is the first.  Where a check yields a witness,
+    it runs on the other members too, and the members' own reports
+    replace the weighted one.  Each witness is tagged with its table, so
+    aggregated reports stay re-checkable."""
+    # A fresh table, not the caller's: its facts are dropped with it after
+    # its checks, so a corpus run does not keep every table's facts and a
+    # second run computes them again.
+    s = CayleyTable(grid)
+    members = orbit(s)
+    reports = {}
+    witnessed = []
+    for check_id in ids:
+        r = CHECKS[check_id](s)
+        if r.witnesses:
+            witnessed.append(check_id)
+            r = replace(r, witnesses=tuple((grid, w) for w in r.witnesses))
+        else:
+            r = replace(r, counts=tuple((k, v * len(members)) for k, v in r.counts))
+        reports[check_id] = [r]
+    for member in members[1:] if witnessed else ():
+        m = CayleyTable(member)
+        for check_id in witnessed:
+            r = CHECKS[check_id](m)
+            r = replace(r, witnesses=tuple((member, w) for w in r.witnesses))
+            reports[check_id].append(r)
+    return reports
 
 
-def _map_chunks(fn, items: list, workers: int) -> list:
-    """`fn` over consecutive chunks of `items`, results in chunk order.
-    The pool has at most `workers` processes, no more than the CPUs this
-    process may run on and one per chunk; with one process the whole
-    list is a single chunk, mapped here."""
+def _check_workers(workers: int):
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+
+
+def _map(fn, items: list, workers: int) -> list:
+    """`[fn(x) for x in items]`, computed by a pool of at most `workers`
+    processes, no more than the CPUs this process may run on and one per
+    item; with one process, computed here."""
+    _check_workers(workers)
     cpus = os.cpu_count() or 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     processes = min(workers, cpus, len(items))
     if processes <= 1:
-        return [fn(items)]
-    size = -(-len(items) // processes)
-    chunks = [items[i : i + size] for i in range(0, len(items), size)]
-    with multiprocessing.Pool(len(chunks)) as pool:
-        return pool.map(fn, chunks)
+        return [fn(x) for x in items]
+    with multiprocessing.Pool(processes) as pool:
+        return pool.map(fn, items)
 
 
 def run_checks(
     tables: Iterable[CayleyTable], ids: Sequence[str], workers: int = 1
 ) -> list[VerificationReport]:
     """Run the named checks over the tables and aggregate one report per
-    check.  With workers > 1 the tables are processed in order-preserving
-    chunks, so the output is identical to a single-worker run."""
+    check.  With workers > 1 a pool checks the tables, one table per
+    task, and the reports are merged in table order, so the output is
+    identical to a single-worker run."""
     grids = [t.rows for t in tables]
     ids = list(ids)
-    partials = _map_chunks(functools.partial(_run_chunk, ids, _itself), grids, workers)
-    out = []
-    for check_id in ids:
-        parts = [p[check_id] for p in partials if p[check_id] is not None]
-        out.append(
-            merge_reports(parts) if parts else _report(check_id, "not-applicable")
-        )
-    return out
+    per_table = _map(functools.partial(_check_class, ids, _itself), grids, workers)
+    if not per_table:
+        return [_report(check_id, "not-applicable") for check_id in ids]
+    return [merge_reports([r for p in per_table for r in p[c]]) for c in ids]
 
 
 def verify_corpus(
@@ -495,15 +489,16 @@ def verify_corpus(
     Every check is invariant under relabeling, so a class's members all
     report what its representative does: counts are the representative's
     times the orbit size, and only a class with a witness is expanded
-    into its members, for their own witnesses.  Sorting the tagged
+    into its members, for their own witnesses.  With workers > 1 a pool
+    checks the classes, one class per task.  Sorting the tagged
     witnesses by grid restores the labeled stream's order.  Transposing
     is no symmetry here: p7 reads left equalizers only."""
     ids = list(ids)
     grids = [s.rows for s in enumerate_canonical(n, "iso")]
-    partials = _map_chunks(functools.partial(_run_chunk, ids, _orbit), grids, workers)
+    per_class = _map(functools.partial(_check_class, ids, _orbit), grids, workers)
     out = []
     for check_id in ids:
-        r = merge_reports([p[check_id] for p in partials])
+        r = merge_reports([x for p in per_class for x in p[check_id]])
         out.append(replace(r, witnesses=tuple(sorted(r.witnesses, key=itemgetter(0)))))
     return out
 
@@ -528,10 +523,6 @@ def _cor15_converse_candidate(s: CayleyTable) -> bool:
     )
 
 
-def _first_candidate(tables: list[CayleyTable]) -> Optional[CayleyTable]:
-    return next(filter(_cor15_converse_candidate, tables), None)
-
-
 def search_cor15_converse(
     max_order: int, workers: int = 1
 ) -> Optional[CayleyTable]:
@@ -539,13 +530,13 @@ def search_cor15_converse(
     table that decomposes into weakly cancellative components yet is not
     weakly balanced.  Returns the first hit in scan order, or None when
     the range is exhausted.  The outcome is reported neutrally: finding
-    a table and finding none are both valid results.
+    a table and finding none are both valid results.  `workers` is
+    checked as in `run_checks`, but the scan runs in this process: within
+    16 classes it reaches the order-3 hit, or exhausts orders 1 and 2.
     """
     _check_order(max_order)
-    for n in range(1, max_order + 1):
-        tables = list(enumerate_canonical(n, "iso_anti"))
-        hits = _map_chunks(_first_candidate, tables, workers)
-        hit = next((h for h in hits if h is not None), None)
-        if hit is not None:
-            return hit
-    return None
+    _check_workers(workers)
+    tables = (
+        s for n in range(1, max_order + 1) for s in enumerate_canonical(n, "iso_anti")
+    )
+    return next(filter(_cor15_converse_candidate, tables), None)

@@ -14,6 +14,7 @@ as soon as a relabeling of it is smaller, and remembers no earlier class.
 
 from __future__ import annotations
 
+import functools
 import random
 from itertools import permutations
 from typing import Iterator, Optional
@@ -189,7 +190,8 @@ def random_table(n: int, rng: random.Random) -> CayleyTable:
             return CayleyTable(t)
 
 
-def _relabelings(n: int, mode: str) -> Iterator[tuple]:
+@functools.cache
+def _relabelings(n: int, mode: str) -> tuple:
     """Every relabeling of an n-element table as a pair (perm, src), the
     identity first: position i*n + j of the relabeled table t' holds
     perm[t[src[i*n + j]]], so t'[i][j] = perm[t[inv[i]][inv[j]]], inv
@@ -198,11 +200,14 @@ def _relabelings(n: int, mode: str) -> Iterator[tuple]:
     if mode not in ("iso", "iso_anti"):
         raise ValueError(f"mode must be 'iso' or 'iso_anti', got {mode!r}")
     cells = range(n)
+    out = []
     for perm in permutations(cells):
         inv = sorted(cells, key=perm.__getitem__)
-        yield perm, tuple([inv[i] * n + inv[j] for i in cells for j in cells])
+        src = [inv[i] * n + inv[j] for i in cells for j in cells]
+        out.append((perm, tuple(src)))
         if mode == "iso_anti":
-            yield perm, tuple([inv[j] * n + inv[i] for i in cells for j in cells])
+            out.append((perm, tuple([src[j * n + i] for i in cells for j in cells])))
+    return tuple(out)
 
 
 def _relabeled(s: CayleyTable, mode: str) -> Iterator[tuple]:
@@ -247,5 +252,4 @@ def enumerate_canonical(n: int, mode: str = "iso_anti") -> Iterator[CayleyTable]
     """
     _check_order(n)
     # the first relabeling is the identity, which every table ties with
-    relabelings = list(_relabelings(n, mode))[1:]
-    yield from _fills(n, relabelings)
+    yield from _fills(n, _relabelings(n, mode)[1:])

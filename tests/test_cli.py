@@ -178,8 +178,8 @@ def test_verify_corpus_4_t6_reports_violations(capsys):
 
 
 def test_verify_workers_do_not_change_output(capsys):
-    # order 3 takes the labeled route; order 4 the class route, with t6
-    # witnesses in classes on both sides of the chunk split
+    # order 3 takes the labeled route; order 4 the class route, whose
+    # t6 witnesses come from 2 of the classes the workers share out
     for n, theorem in (("3", "diagram"), ("4", "all")):
         argv = ["verify", "--corpus", n, "--theorem", theorem]
         one = run_cli(capsys, *argv, "--workers", "1")

@@ -404,14 +404,24 @@ def test_checks_and_classify_run_each_predicate_once_per_table(monkeypatch):
     assert max(computed.values()) == 1
 
 
+class PoolRequests(list):
+    """The process counts requested of the pool, in order; `mapped` holds
+    the number of items each pool was handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.mapped = []
+
+
 @pytest.fixture
 def recording_pool(monkeypatch):
     """Replace multiprocessing.Pool by a stub that records the requested
-    process count and maps serially in this process; report 3 CPUs."""
+    process count and the items handed to it, and maps serially in this
+    process; report 3 CPUs."""
     import multiprocessing
     import os
 
-    requested = []
+    requested = PoolRequests()
 
     class Pool:
         def __init__(self, processes):
@@ -424,6 +434,7 @@ def recording_pool(monkeypatch):
             return False
 
         def map(self, fn, items):
+            requested.mapped.append(len(items))
             return [fn(x) for x in items]
 
     monkeypatch.setattr(multiprocessing, "Pool", Pool)
@@ -440,20 +451,27 @@ def test_pool_is_capped_by_cpus_and_chunks(recording_pool):
     assert run_checks(tables, ids, workers=100000) == serial
     assert run_checks(tables, ids, workers=2) == serial
     assert run_checks(tables[:2], ids, workers=100000) == run_checks(tables[:2], ids)
+    # the converse search scans in this process whatever `workers` says
     assert search_cor15_converse(3, workers=100000) == search_cor15_converse(3)
-    # order 1 (one table) runs here; order 2 has 4 tables, in chunks of 2
-    assert recording_pool == [3, 2, 2, 2, 3]
+    hit = search_cor15_converse(5, workers=3)
+    assert hit.rows == ((0, 0, 0), (0, 1, 1), (0, 2, 2))
+    # each pool is handed one table per task
+    assert recording_pool == [3, 2, 2]
+    assert recording_pool.mapped == [113, 113, 2]
 
 
 def test_verify_corpus_equals_run_checks_over_labeled_tables(recording_pool):
-    # the whole reports, every witness and its order included; three
-    # chunks put the classes with t6 witnesses in different chunks; the
+    # the whole reports, every witness and its order included; the
     # single class of order 1 starts no pool
     for n in (1, 2, 3, 4):
         labeled = run_checks(oracles.labeled_corpus(n), CHECK_IDS)
         assert verify_corpus(n, CHECK_IDS) == labeled
         assert verify_corpus(n, CHECK_IDS, workers=3) == labeled
     assert recording_pool == [3, 3, 3]
+    # one iso class per task (5, 24 and 188 classes), so the 2 order-4
+    # classes with t6 witnesses, which carry all 48 expanded members, are
+    # scheduled like any other class
+    assert recording_pool.mapped == [5, 24, 188]
 
 
 def test_verify_corpus_checks_each_labeled_table_at_most_once(monkeypatch):

@@ -18,7 +18,7 @@ from finsemi import (
     right_zero,
     validate,
 )
-from finsemi.enumeration import _orbit
+from finsemi.enumeration import _orbit, _relabelings
 
 import oracles
 
@@ -173,6 +173,17 @@ def test_canonical_argument_checks():
         list(enumerate_canonical(6))
     with pytest.raises(OrderTooLarge):
         list(enumerate_canonical(0, "iso"))
+
+
+def test_relabelings_are_built_once_per_order_and_mode():
+    # `_orbit`, `canonical_form` and `enumerate_canonical` read one shared
+    # tuple instead of building the n! source maps on every call
+    for n, mode in ((4, "iso"), (5, "iso_anti")):
+        first = _relabelings(n, mode)
+        assert isinstance(first, tuple) and _relabelings(n, mode) is first
+        assert len(first) == math.factorial(n) * (2 if mode == "iso_anti" else 1)
+    with pytest.raises(ValueError, match="'both'"):
+        _relabelings(3, "both")
 
 
 def test_profile_invariant_under_relabeling():
