@@ -1,15 +1,17 @@
 """Exhaustive and random generation of small semigroups.
 
-Both fill a table cell by cell in row-major order and check, after each
-assignment, every product triple that just became fully determined, so
-complete grids are associative by construction.  The exhaustive fill
-tries the values in order and streams the tables out in lexicographic
-order; a random draw takes the first value that fits in a random order
-and starts again at a cell that none fits.  Canonical forms minimize
-over all relabelings and, optionally, over the transpose, so mirror
-images share one.  The canonical stream is the lex leaders, the labeled
-tables that are their own canonical form: the fill drops a partial table
-as soon as a relabeling of it is smaller, and remembers no earlier class.
+Both searches fill a table cell by cell in row-major order and check,
+after each assignment, every product triple that just became fully
+determined, so complete grids are associative by construction.  The
+exhaustive fill tries the values in order and streams the lex leaders:
+the tables that are their own canonical form, one per class.  It drops a
+partial table as soon as a relabeling of it is smaller, and remembers no
+earlier class.  Canonical forms minimize over all relabelings and,
+optionally, over the transpose, so mirror images share one.  The labeled
+tables are the union of the isomorphism classes, which are disjoint:
+the labeled stream relabels each class representative and sorts the
+members of all classes.  A random draw takes the first value that fits
+in a random order and starts again at a cell that none fits.
 """
 
 from __future__ import annotations
@@ -84,18 +86,18 @@ def _ok_after(t: list[list[int]], n: int, r: int, c: int) -> bool:
     return True
 
 
-def _fills(n: int, relabelings=()) -> Iterator[CayleyTable]:
-    """Every associative n x n table, filled cell by cell in row-major order.
+def _fills(n: int, relabelings) -> Iterator[CayleyTable]:
+    """The associative n x n tables that are <= each of `relabelings` of
+    themselves, filled cell by cell in row-major order.
 
-    `relabelings` lists (perm, src) pairs as `_relabelings` builds them.
-    When it is nonempty, only the tables that are <= each of those
-    relabelings of themselves come out, and the search is cut as soon as
-    a partial table loses to one: every cell that decided the comparison
-    is filled, so each completion loses the same way.  A relabeling whose
-    comparison has stopped at position `pos` waits in `waiting` on the
-    later of the cells `pos` and `src[pos]`; once that cell is accepted,
-    it resumes until it meets a cell not yet filled, and is dropped once
-    it compares greater.
+    `relabelings` lists (perm, src) pairs as `_each_relabeling` builds
+    them, without the identity (so it is empty only for n = 1 in "iso" mode).
+    The search is cut as soon as a partial table loses to one: every cell
+    that decided the comparison is filled, so each completion loses the
+    same way.  A relabeling whose comparison has stopped at position
+    `pos` waits in `waiting` on the later of the cells `pos` and
+    `src[pos]`; once that cell is accepted, it resumes until it meets a
+    cell not yet filled, and is dropped once it compares greater.
     """
     t = [[-1] * n for _ in range(n)]
     last = n * n
@@ -160,9 +162,20 @@ def _fill(k: int, t, flat, waiting) -> Iterator[CayleyTable]:
 
 def enumerate_labeled(n: int) -> Iterator[CayleyTable]:
     """Yield every associative n x n table exactly once, in lexicographic
-    row-major order."""
+    row-major order: the members of every isomorphism class, sorted.
+
+    Distinct classes are disjoint, so only the repeats that the
+    automorphisms of a representative make are dropped, within its class;
+    a class that the canonical stream yielded twice would show as a
+    repeat here.  The members are sorted as byte keys and built as
+    tables only as they are yielded."""
     _check_order(n)
-    yield from _fills(n)
+    keys = []
+    for rep in enumerate_canonical(n, "iso"):
+        keys += _orbit_keys(rep)
+    keys.sort()
+    for key in keys:
+        yield CayleyTable(_grid(key, n))
 
 
 def random_table(n: int, rng: random.Random) -> CayleyTable:
@@ -190,8 +203,7 @@ def random_table(n: int, rng: random.Random) -> CayleyTable:
             return CayleyTable(t)
 
 
-@functools.cache
-def _relabelings(n: int, mode: str) -> tuple:
+def _each_relabeling(n: int, mode: str) -> Iterator[tuple]:
     """Every relabeling of an n-element table as a pair (perm, src), the
     identity first: position i*n + j of the relabeled table t' holds
     perm[t[src[i*n + j]]], so t'[i][j] = perm[t[inv[i]][inv[j]]], inv
@@ -200,26 +212,35 @@ def _relabelings(n: int, mode: str) -> tuple:
     if mode not in ("iso", "iso_anti"):
         raise ValueError(f"mode must be 'iso' or 'iso_anti', got {mode!r}")
     cells = range(n)
-    out = []
     for perm in permutations(cells):
         inv = sorted(cells, key=perm.__getitem__)
         src = [inv[i] * n + inv[j] for i in cells for j in cells]
-        out.append((perm, tuple(src)))
+        yield perm, tuple(src)
         if mode == "iso_anti":
-            out.append((perm, tuple([src[j * n + i] for i in cells for j in cells])))
-    return tuple(out)
+            yield perm, tuple([src[j * n + i] for i in cells for j in cells])
 
 
-def _relabeled(s: CayleyTable, mode: str) -> Iterator[tuple]:
+@functools.cache
+def _relabelings(n: int, mode: str) -> tuple:
+    """`_each_relabeling(n, mode)`, built once per order and mode.  Only
+    orders up to MAX_ORDER are read through this cache; larger ones are
+    streamed, so none of their n! source maps stays resident."""
+    return tuple(_each_relabeling(n, mode))
+
+
+def _relabeled(s: CayleyTable, mode: str) -> list[bytes]:
     """Every relabeling of `s` (and of its transpose in "iso_anti" mode)
-    as a flat row-major tuple, repeats included."""
-    flat = [v for row in s.rows for v in row]
-    for perm, src in _relabelings(s.n, mode):
-        yield tuple([perm[flat[i]] for i in src])
+    as a flat row-major byte key, repeats included.  The values are
+    below 256, so the byte order of keys is the lexicographic order of
+    tables."""
+    n, flat = s.n, [v for row in s.rows for v in row]
+    relabelings = _relabelings(n, mode) if n <= MAX_ORDER else _each_relabeling(n, mode)
+    return [bytes([perm[flat[i]] for i in src]) for perm, src in relabelings]
 
 
-def _grid(flat: tuple, n: int) -> tuple:
-    return tuple(flat[i : i + n] for i in range(0, n * n, n))
+def _grid(key: bytes, n: int) -> tuple:
+    """The rows of a flat row-major key, as tuples of ints."""
+    return tuple(zip(*[iter(key)] * n))
 
 
 def canonical_form(s: CayleyTable, mode: str = "iso_anti") -> CayleyTable:
@@ -230,11 +251,16 @@ def canonical_form(s: CayleyTable, mode: str = "iso_anti") -> CayleyTable:
     return CayleyTable(_grid(min(_relabeled(s, mode)), s.n))
 
 
+def _orbit_keys(rep: CayleyTable) -> set[bytes]:
+    """The distinct labeled tables isomorphic to `rep`, as byte keys.
+    Their number is n! over the number of automorphisms of `rep`."""
+    return set(_relabeled(rep, "iso"))
+
+
 def _orbit(rep: CayleyTable) -> list[tuple]:
     """The distinct labeled tables isomorphic to `rep`, as row tuples in
-    lexicographic order, which is their order in the labeled stream.
-    Their number is n! over the number of automorphisms of `rep`."""
-    return [_grid(flat, rep.n) for flat in sorted(set(_relabeled(rep, "iso")))]
+    lexicographic order, which is their order in the labeled stream."""
+    return [_grid(key, rep.n) for key in sorted(_orbit_keys(rep))]
 
 
 def enumerate_canonical(n: int, mode: str = "iso_anti") -> Iterator[CayleyTable]:

@@ -24,9 +24,11 @@ import oracles
 
 
 def test_labeled_counts_small():
+    # OEIS A023814
     assert sum(1 for _ in enumerate_labeled(1)) == 1
     assert sum(1 for _ in enumerate_labeled(2)) == 8
     assert sum(1 for _ in enumerate_labeled(3)) == 113
+    assert sum(1 for _ in enumerate_labeled(4)) == 3492
 
 
 def test_labeled_matches_brute_force_filter():
@@ -37,15 +39,19 @@ def test_labeled_matches_brute_force_filter():
 
 
 def test_labeled_stream_is_lexicographic():
-    flat = [
-        tuple(v for row in s.rows for v in row) for s in enumerate_labeled(3)
-    ]
-    assert flat == sorted(flat)
+    # strictly increasing, so no table repeats; with the count (A023814)
+    # and the associativity check below this pins the order-4 stream
+    # without reading the canonical stream it is built from
+    for n in (1, 2, 3, 4):
+        flat = [tuple(v for row in s.rows for v in row) for s in enumerate_labeled(n)]
+        assert all(a < b for a, b in zip(flat, flat[1:])), n
 
 
 def test_labeled_tables_are_valid():
     for s in enumerate_labeled(3):
         assert validate([list(r) for r in s.rows]) == s
+    for s in enumerate_labeled(4):
+        assert oracles.grid_is_associative(s.rows)
 
 
 def test_order_bounds():
@@ -184,6 +190,18 @@ def test_relabelings_are_built_once_per_order_and_mode():
         assert len(first) == math.factorial(n) * (2 if mode == "iso_anti" else 1)
     with pytest.raises(ValueError, match="'both'"):
         _relabelings(3, "both")
+
+
+def test_canonical_form_above_max_order_is_not_cached():
+    # orders above MAX_ORDER build their relabelings for the call only,
+    # instead of keeping n! source maps resident (5,040 at order 7)
+    cached = _relabelings.cache_info().currsize
+    # every relabeling of a left-zero band is the band itself
+    assert canonical_form(left_zero(7), "iso") == left_zero(7)
+    form = canonical_form(cyclic_group(6))
+    reversed_labels = validate(oracles.relabel(form.rows, [5, 4, 3, 2, 1, 0]))
+    assert canonical_form(reversed_labels) == form
+    assert _relabelings.cache_info().currsize == cached
 
 
 def test_profile_invariant_under_relabeling():
