@@ -162,14 +162,9 @@ def _fill(k: int, t, flat, waiting) -> Iterator[CayleyTable]:
 
 def enumerate_labeled(n: int) -> Iterator[CayleyTable]:
     """Yield every associative n x n table exactly once, in lexicographic
-    row-major order: the members of every isomorphism class, sorted.
-
-    Distinct classes are disjoint, so only the repeats that the
-    automorphisms of a representative make are dropped, within its class;
-    a class that the canonical stream yielded twice would show as a
-    repeat here.  The members are sorted as byte keys and built as
-    tables only as they are yielded."""
-    _check_order(n)
+    row-major order: the orbits of the isomorphism classes, sorted as
+    byte keys and built as tables only as they are yielded.  Classes are
+    disjoint, so no repeat is dropped across them."""
     keys = []
     for rep in enumerate_canonical(n, "iso"):
         keys += _orbit_keys(rep)
@@ -230,9 +225,8 @@ def _relabelings(n: int, mode: str) -> tuple:
 
 def _relabeled(s: CayleyTable, mode: str) -> list[bytes]:
     """Every relabeling of `s` (and of its transpose in "iso_anti" mode)
-    as a flat row-major byte key, repeats included.  The values are
-    below 256, so the byte order of keys is the lexicographic order of
-    tables."""
+    as a flat row-major byte key, repeats included; byte order is the
+    tables' lexicographic order, the values being below 256."""
     n, flat = s.n, [v for row in s.rows for v in row]
     relabelings = _relabelings(n, mode) if n <= MAX_ORDER else _each_relabeling(n, mode)
     return [bytes([perm[flat[i]] for i in src]) for perm, src in relabelings]
@@ -252,14 +246,14 @@ def canonical_form(s: CayleyTable, mode: str = "iso_anti") -> CayleyTable:
 
 
 def _orbit_keys(rep: CayleyTable) -> set[bytes]:
-    """The distinct labeled tables isomorphic to `rep`, as byte keys.
-    Their number is n! over the number of automorphisms of `rep`."""
+    """The distinct labeled tables isomorphic to `rep`, as byte keys:
+    n! over the number of automorphisms of `rep`."""
     return set(_relabeled(rep, "iso"))
 
 
 def _orbit(rep: CayleyTable) -> list[tuple]:
-    """The distinct labeled tables isomorphic to `rep`, as row tuples in
-    lexicographic order, which is their order in the labeled stream."""
+    """`_orbit_keys(rep)` as row tuples in lexicographic order, which is
+    their order in the labeled stream."""
     return [_grid(key, rep.n) for key in sorted(_orbit_keys(rep))]
 
 
