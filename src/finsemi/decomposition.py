@@ -414,35 +414,30 @@ def _itself(s: CayleyTable) -> tuple:
     return (s.rows,)
 
 
-def _check_class(ids, orbit, grid) -> dict:
-    """Each check's reports for the table `grid`: every check runs once
-    on it, its counts multiplied by the number of labeled tables in
-    `orbit(s)`, of which s is the first.  Where a check yields a witness,
-    it runs on the other members too, and the members' own reports
-    replace the weighted one.  Each witness is tagged with its table, so
-    aggregated reports stay re-checkable."""
+def _check_class(ids, orbit, grid) -> tuple:
+    """One report per check in `ids` for the labeled tables in
+    `orbit(s)`, the table `grid` first.  Every check is invariant under
+    relabeling, so each report has s's verdict and s's counts times the
+    orbit size.  Where s yields a witness, the report also holds each
+    other member's own witnesses, in member order.  Each witness is
+    tagged with its table, so aggregated reports stay re-checkable."""
     # A fresh table, not the caller's: its facts are dropped with it after
     # its checks, so a corpus run does not keep every table's facts and a
     # second run computes them again.
     s = CayleyTable(grid)
     members = orbit(s)
-    reports = {}
-    witnessed = []
-    for check_id in ids:
-        r = CHECKS[check_id](s)
-        if r.witnesses:
-            witnessed.append(check_id)
-            r = replace(r, witnesses=tuple((grid, w) for w in r.witnesses))
-        else:
-            r = replace(r, counts=tuple((k, v * len(members)) for k, v in r.counts))
-        reports[check_id] = [r]
-    for member in members[1:] if witnessed else ():
-        m = CayleyTable(member)
-        for check_id in witnessed:
-            r = CHECKS[check_id](m)
-            r = replace(r, witnesses=tuple((member, w) for w in r.witnesses))
-            reports[check_id].append(r)
-    return reports
+    reports = [CHECKS[check_id](s) for check_id in ids]
+    others = []
+    if any(r.witnesses for r in reports):
+        others = [CayleyTable(m) for m in members[1:]]
+    out = []
+    for check_id, r in zip(ids, reports):
+        witnesses = [(grid, w) for w in r.witnesses]
+        for m in others if witnesses else ():
+            witnesses.extend((m.rows, w) for w in CHECKS[check_id](m).witnesses)
+        counts = tuple((k, v * len(members)) for k, v in r.counts)
+        out.append(VerificationReport(r.check, r.verdict, tuple(witnesses), counts))
+    return tuple(out)
 
 
 def _check_workers(workers: int):
@@ -465,6 +460,16 @@ def _map(fn, items: list, workers: int) -> list:
         return pool.map(fn, items)
 
 
+def _check_all(ids, orbit, grids: list, workers: int) -> list[VerificationReport]:
+    """`_check_class` on every grid, through `_map`, merged per check in
+    grid order; not-applicable reports for no grids."""
+    ids = list(ids)
+    per_class = _map(functools.partial(_check_class, ids, orbit), grids, workers)
+    if not per_class:
+        return [_report(check_id, "not-applicable") for check_id in ids]
+    return [merge_reports(reports) for reports in zip(*per_class)]
+
+
 def run_checks(
     tables: Iterable[CayleyTable], ids: Sequence[str], workers: int = 1
 ) -> list[VerificationReport]:
@@ -472,12 +477,7 @@ def run_checks(
     check.  With workers > 1 a pool checks the tables, one table per
     task, and the reports are merged in table order, so the output is
     identical to a single-worker run."""
-    grids = [t.rows for t in tables]
-    ids = list(ids)
-    per_table = _map(functools.partial(_check_class, ids, _itself), grids, workers)
-    if not per_table:
-        return [_report(check_id, "not-applicable") for check_id in ids]
-    return [merge_reports([r for p in per_table for r in p[c]]) for c in ids]
+    return _check_all(ids, _itself, [t.rows for t in tables], workers)
 
 
 def verify_corpus(
@@ -487,20 +487,18 @@ def verify_corpus(
     computed on one table per isomorphism class.
 
     Every check is invariant under relabeling, so a class's members all
-    report what its representative does: counts are the representative's
-    times the orbit size, and only a class with a witness is expanded
-    into its members, for their own witnesses.  With workers > 1 a pool
-    checks the classes, one class per task.  Sorting the tagged
-    witnesses by grid restores the labeled stream's order.  Transposing
-    is no symmetry here: p7 reads left equalizers only."""
-    ids = list(ids)
+    report what its representative does: each report holds the
+    representative's verdict and its counts times the orbit size, and
+    only a class with a witness is expanded into its members, for their
+    own witnesses.  With workers > 1 a pool checks the classes, one class
+    per task.  Sorting the tagged witnesses by grid restores the labeled
+    stream's order.  Transposing is no symmetry here: p7 reads left
+    equalizers only."""
     grids = [s.rows for s in enumerate_canonical(n, "iso")]
-    per_class = _map(functools.partial(_check_class, ids, _orbit), grids, workers)
-    out = []
-    for check_id in ids:
-        r = merge_reports([x for p in per_class for x in p[check_id]])
-        out.append(replace(r, witnesses=tuple(sorted(r.witnesses, key=itemgetter(0)))))
-    return out
+    return [
+        replace(r, witnesses=tuple(sorted(r.witnesses, key=itemgetter(0))))
+        for r in _check_all(ids, _orbit, grids, workers)
+    ]
 
 
 def format_report(r: VerificationReport) -> str:

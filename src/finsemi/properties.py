@@ -111,10 +111,10 @@ def is_right_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
 
 
 def is_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
-    ok, w = is_left_cancellative(s)
+    ok, w = _holds(s, "left_cancellative")
     if not ok:
         return False, w
-    return is_right_cancellative(s)
+    return _holds(s, "right_cancellative")
 
 
 def has_square_descent(s: CayleyTable) -> tuple[bool, Optional[tuple]]:

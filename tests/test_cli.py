@@ -43,6 +43,13 @@ def test_zoo_shorthand_parsing():
         load_table("zoo:unknown:2")
 
 
+def test_malformed_shorthand_exits_2(capsys):
+    code, out, err = run_cli(capsys, "analyze", "zoo:cyclic:x")
+    assert code == 2
+    assert out == ""
+    assert "bad shorthand 'zoo:cyclic:x'" in err
+
+
 def test_analyze_zoo_shorthand(capsys):
     code, out, _ = run_cli(capsys, "analyze", "zoo:left_zero2")
     assert code == 0
@@ -328,6 +335,15 @@ def test_omega_full_on_left_zero(capsys):
     assert "balanced: false" in out
     assert "balanced_witness: 0 0 1" in out
     assert "classes:" not in out
+
+
+@pytest.mark.parametrize("name", ["diagonal", "delta"])
+def test_omega_diagonal(capsys, name):
+    code, out, _ = run_cli(capsys, "omega", "zoo:left_zero2", "--relation", name)
+    assert code == 0
+    assert out.startswith("# relation: diagonal (2 pairs over carrier 2)\n0 0\n1 1\n")
+    assert "balanced: true" in out
+    assert "class 0: 0 1" in out
 
 
 def test_omega_relation_file(tmp_path, capsys):

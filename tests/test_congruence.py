@@ -81,17 +81,25 @@ def test_dual_induced_agrees_whenever_balanced():
 
 
 def test_induced_partitions_match_oracle():
-    for s in oracles.corpus_up_to(3) + oracles.zoo_tables():
-        for pairs in oracles.sample_relations(s):
-            rel = BinaryRelation.from_pairs(s.n, pairs)
-            left = oracles.naive_induced_partition(s, pairs, "left")
-            expected = oracles.naive_compatibility_witness(s, left)
-            try:
-                assert induced_congruence(s, rel).classes == tuple(left)
-            except NotACongruence as exc:
-                assert (exc.witness, exc.detail) == expected
-            else:
-                assert expected is None
+    cases = [
+        (s, pairs)
+        for s in oracles.corpus_up_to(3) + oracles.zoo_tables()
+        for pairs in oracles.sample_relations(s)
+    ]
+    # none of those inputs reaches the right-multiplication witness; this
+    # order-4 one does, at (0, 2, 1)
+    order4 = validate(((0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 2, 0), (0, 0, 0, 3)))
+    cases.append((order4, {(3, 0)}))
+    for s, pairs in cases:
+        rel = BinaryRelation.from_pairs(s.n, pairs)
+        left = oracles.naive_induced_partition(s, pairs, "left")
+        expected = oracles.naive_compatibility_witness(s, left)
+        try:
+            assert induced_congruence(s, rel).classes == tuple(left)
+        except NotACongruence as exc:
+            assert (exc.witness, exc.detail) == expected
+        else:
+            assert expected is None
 
 
 def test_quotient_examples():

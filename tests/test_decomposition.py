@@ -9,6 +9,7 @@ from finsemi import (
     classify,
     cyclic_group,
     decompose,
+    is_commutative,
     is_quasi_separative,
     is_semilattice,
     left_zero,
@@ -19,9 +20,11 @@ from finsemi import (
     strictness_witnesses,
     validate,
 )
+from finsemi.core import _commutative_with_witness
 from finsemi.decomposition import (
     CHECK_IDS,
     CHECKS,
+    VerificationReport,
     diagram_report,
     merge_reports,
     normalize_check_id,
@@ -489,6 +492,39 @@ def test_verify_corpus_checks_each_labeled_table_at_most_once(monkeypatch):
     verify_corpus(4, CHECK_IDS)
     assert len(calls) == 188 + 48 - 2
     assert max(Counter(calls).values()) == 1
+
+
+def test_verify_corpus_expands_every_witnessed_class(monkeypatch):
+    # Whether a table commutes does not depend on its labeling, but the
+    # first non-commuting pair does; a check that reports it has a witness
+    # on every class that is not commutative, beside the two t6 classes
+    def noncommuting(s):
+        ok, w = _commutative_with_witness(s)
+        if ok:
+            return VerificationReport("noncommuting", "verified", (), (("tables", 1),))
+        return VerificationReport("noncommuting", "violated", (w,), (("tables", 1),))
+
+    monkeypatch.setitem(CHECKS, "noncommuting", noncommuting)
+    ids = ["noncommuting", "t6"]
+    for n in (2, 3, 4):
+        labeled = oracles.labeled_corpus(n)
+        reports = verify_corpus(n, ids)
+        assert reports == run_checks(labeled, ids)
+        noncommutative = [s for s in labeled if not is_commutative(s)]
+        assert len(reports[0].witnesses) == len(noncommutative)
+
+
+def test_run_checks_on_no_tables_is_not_applicable():
+    assert run_checks([], ["t4", "diagram"]) == [
+        VerificationReport("t4", "not-applicable"),
+        VerificationReport("diagram", "not-applicable"),
+    ]
+
+
+def test_merge_reports_rejects_reports_of_different_checks():
+    s = left_zero(2)
+    with pytest.raises(ValueError, match="different checks"):
+        merge_reports([verify_congruence_construction(s), verify_table_diagram(s)])
 
 
 @pytest.mark.parametrize("workers", [0, -3])

@@ -19,6 +19,7 @@ from finsemi import (
     monogenic,
     null_semigroup,
 )
+from finsemi import properties
 
 import oracles
 
@@ -67,6 +68,24 @@ def test_cancellative_examples():
     assert is_right_cancellative(L2) == (True, None)
     assert is_cancellative(L2) == (False, (0, 0, 1))
     assert is_cancellative(N2)[0] is False
+
+
+def test_classify_scans_each_cancellation_side_once(monkeypatch):
+    calls = []
+    scan = properties._first_collision
+
+    def counted(kernels):
+        calls.append(kernels)
+        return scan(kernels)
+
+    monkeypatch.setattr(properties, "_first_collision", counted)
+    p = classify(cyclic_group(3))
+    assert len(calls) == 2
+    assert p.cancellative and p.left_cancellative and p.right_cancellative
+    calls.clear()
+    p = classify(left_zero(2))
+    assert len(calls) == 2
+    assert p.witnesses["cancellative"] == p.witnesses["left_cancellative"] == (0, 0, 1)
 
 
 def test_square_descent_examples():
