@@ -47,15 +47,21 @@ from .relations import (
     parse_relation,
 )
 
+# Each family's constructor, its number of parameters and its carrier
+# size as a function of them.
 _ZOO_FAMILIES = {
-    "left_zero": (zoo.left_zero, 1),
-    "right_zero": (zoo.right_zero, 1),
-    "null": (zoo.null_semigroup, 1),
-    "chain": (zoo.chain_semilattice, 1),
-    "cyclic": (zoo.cyclic_group, 1),
-    "monogenic": (zoo.monogenic, 2),
-    "rectangular_band": (zoo.rectangular_band, 2),
+    "left_zero": (zoo.left_zero, 1, lambda n: n),
+    "right_zero": (zoo.right_zero, 1, lambda n: n),
+    "null": (zoo.null_semigroup, 1, lambda n: n),
+    "chain": (zoo.chain_semilattice, 1, lambda n: n),
+    "cyclic": (zoo.cyclic_group, 1, lambda n: n),
+    "monogenic": (zoo.monogenic, 2, lambda m, r: m + r - 1),
+    "rectangular_band": (zoo.rectangular_band, 2, lambda p, q: p * q),
 }
+
+# A zoo table's grid has n * n entries and `validate` reads n ** 3
+# products, so larger carriers are refused before anything is built.
+_ZOO_MAX_ELEMENTS = 256
 
 # `verify --corpus` runs the checks on every labeled table up to this
 # order and on one table per isomorphism class above it (`verify_corpus`).
@@ -69,13 +75,19 @@ _ZOO_SPEC = re.compile(r"^zoo:([a-z_]+?):?(\d+(?:,\d+)*)?$")
 
 def _zoo_table(name: str, params: list[int]) -> CayleyTable:
     try:
-        ctor, arity = _ZOO_FAMILIES[name]
+        ctor, arity, size = _ZOO_FAMILIES[name]
     except KeyError:
         raise ValueError(
             f"unknown family {name!r}; choose from {', '.join(sorted(_ZOO_FAMILIES))}"
         ) from None
     if len(params) != arity:
         raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
+    # parameters below 1 are left to the constructor's own check
+    if min(params) >= 1 and size(*params) > _ZOO_MAX_ELEMENTS:
+        raise ValueError(
+            f"family {name!r} with parameters {', '.join(map(str, params))} has "
+            f"{size(*params)} elements; zoo tables have at most {_ZOO_MAX_ELEMENTS}"
+        )
     return ctor(*params)
 
 

@@ -12,6 +12,7 @@ last element n.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Optional
 
 
@@ -94,15 +95,20 @@ def validate(grid: Iterable[Iterable[int]]) -> CayleyTable:
     s = CayleyTable(grid)
     rows = s.rows
     n = s.n
+    # getters[y](rx) is the row z -> x*(y*z), compared whole with the row
+    # of x*y; only a mismatch runs the z loop that finds the witness.  At
+    # n = 1 a getter returns the entry, not a 1-tuple, so the z loop
+    # decides that case.
+    getters = [itemgetter(*ry) for ry in rows]
     for x in range(n):
         rx = rows[x]
-        for y in range(n):
-            xy = rx[y]
-            ry = rows[y]
-            rxy = rows[xy]
-            for z in range(n):
-                if rxy[z] != rx[ry[z]]:
-                    raise NotAssociative(x, y, z)
+        for y, getter in enumerate(getters):
+            rxy = rows[rx[y]]
+            if rxy != getter(rx):
+                ry = rows[y]
+                for z in range(n):
+                    if rxy[z] != rx[ry[z]]:
+                        raise NotAssociative(x, y, z)
     return s
 
 

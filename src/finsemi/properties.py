@@ -13,7 +13,11 @@ R[aa][x] but not in L[a][x] & R[a][x], aa = a*a.  Quasi-cancellativity
 fails at (b, c) for c != b in some L[a][b] and related to b by the
 canonical relation, which is the context equivalence of its definition.
 Each scan keeps the order of the literal quantifier loops, which
-tests/oracles.py keeps (`literal_*`) and checks these against.
+tests/oracles.py keeps (`literal_*`) and checks these against.  The weak
+cancellation and weak balance scans visit only the first a and the
+first b of each distinct kernel (L[a] and R[b], or the pairs L[a], R[a]
+and L[b], R[b]): every other (a, b) repeats the verdict of one scanned
+before it, so the first failing (a, b) and its witness are unchanged.
 """
 
 from __future__ import annotations
@@ -56,11 +60,23 @@ def is_quasi_separative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
     return True, None
 
 
+def _firsts(kernels) -> list[tuple[int, tuple]]:
+    """(a, kernels[a]) for the first a of each distinct kernels[a], in
+    ascending a.  A scan whose verdict at a depends only on kernels[a]
+    needs no other a: a repeat fails exactly when its first does, and
+    the first comes earlier in scan order."""
+    firsts: dict[tuple, int] = {}
+    for a, k in enumerate(kernels):
+        firsts.setdefault(k, a)
+    return [(a, k) for k, a in firsts.items()]
+
+
 def is_weakly_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
     """a*x = a*y and x*b = y*b jointly force x = y."""
     left, right = s.fact(_kernels)
-    for a, la in enumerate(left):
-        for b, rb in enumerate(right):
+    firsts_right = _firsts(right)
+    for a, la in _firsts(left):
+        for b, rb in firsts_right:
             for x, (l, r) in enumerate(zip(la, rb)):
                 m = l & r & ~(1 << x)
                 if m:
@@ -70,9 +86,9 @@ def is_weakly_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
 
 def is_weakly_balanced(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
     """a*x = a*y and x*b = y*b jointly force x*a = y*a and b*x = b*y."""
-    left, right = s.fact(_kernels)
-    for a, (la, ra) in enumerate(zip(left, right)):
-        for b, (lb, rb) in enumerate(zip(left, right)):
+    firsts = _firsts(zip(*s.fact(_kernels)))
+    for a, (la, ra) in firsts:
+        for b, (lb, rb) in firsts:
             for x in range(len(la)):
                 m = la[x] & rb[x] & ~(ra[x] & lb[x])
                 if m:

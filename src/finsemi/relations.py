@@ -84,19 +84,32 @@ def _low_bit(m: int) -> int:
     return (m & -m).bit_length() - 1
 
 
-def _kernel(image) -> list[int]:
+def _kernel(image) -> tuple[int, ...]:
     """For each x, the mask of all y with image[y] == image[x]."""
     masks = [0] * len(image)
     for y, v in enumerate(image):
         masks[v] |= 1 << y
-    return [masks[v] for v in image]
+    return tuple(map(masks.__getitem__, image))
 
 
-def _kernels(s: CayleyTable) -> tuple[list[list[int]], list[list[int]]]:
+def _kernels(s: CayleyTable) -> tuple[list[tuple], list[tuple]]:
     """The left kernels L and right kernels R, read as the table fact
     `s.fact(_kernels)`: L[a][x] is the mask of all y with a*y = a*x,
-    R[a][x] the mask of all y with y*a = x*a."""
-    return [_kernel(r) for r in s.rows], [_kernel(c) for c in zip(*s.rows)]
+    R[a][x] the mask of all y with y*a = x*a.
+
+    Equal kernels, on either side, are one shared tuple, so the scans
+    that skip repeated kernels compare them by identity first; equal
+    rows or columns build their kernel once."""
+    by_image: dict[tuple, tuple] = {}
+    shared: dict[tuple, tuple] = {}
+
+    def kernel(image):
+        if image not in by_image:
+            k = _kernel(image)
+            by_image[image] = shared.setdefault(k, k)
+        return by_image[image]
+
+    return list(map(kernel, s.rows)), list(map(kernel, zip(*s.rows)))
 
 
 def left_equalizer(s: CayleyTable, a: int) -> BinaryRelation:
@@ -216,7 +229,9 @@ def canonical_relation(s: CayleyTable) -> BinaryRelation:
     every a, b in S; contexts using the identity give the first half.
     Built once per table as the fact `s.fact(_canonical)`, which marks
     the y that fail for each x, one kernel of x -> a*x*b per context,
-    until no y != x is left.
+    until no y != x is left.  A context's marks depend only on the image
+    of x -> a*x*b and on L[b*a], so each distinct pair of them is applied
+    once; the marks only accumulate, so the order does not matter.
     """
     return s.fact(_canonical)
 
@@ -226,14 +241,19 @@ def _canonical(s: CayleyTable) -> BinaryRelation:
     left, right = s.fact(_kernels)
     full = (1 << n) - 1
     bad = [0] * n
-    for lc, rc in zip(left, right):
+    for lc, rc in dict.fromkeys(zip(left, right)):
         bad = [m | l ^ r for m, l, r in zip(bad, lc, rc)]
     cols = list(zip(*rows))
+    seen = set()
     for a, b in itertools.product(range(n), repeat=2):
+        context = (tuple(map(cols[b].__getitem__, rows[a])), left[rows[b][a]])
+        if context in seen:
+            continue
+        seen.add(context)
+        image, lba = context
+        bad = [m | kx ^ lx for m, kx, lx in zip(bad, _kernel(image), lba)]
         if all(m | 1 << x == full for x, m in enumerate(bad)):
             break
-        k = _kernel([cols[b][v] for v in rows[a]])
-        bad = [m | kx ^ lx for m, kx, lx in zip(bad, k, left[rows[b][a]])]
     return BinaryRelation(n, [full & ~m for m in bad])
 
 

@@ -30,6 +30,18 @@ def grid_is_associative(grid) -> bool:
     )
 
 
+def first_associativity_witness(grid):
+    """The first (x, y, z), scanning x, then y, then z ascending, with
+    (x*y)*z != x*(y*z), or None when the grid is associative."""
+    n = len(grid)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if grid[grid[x][y]][z] != grid[x][grid[y][z]]:
+                    return (x, y, z)
+    return None
+
+
 @lru_cache(maxsize=None)
 def brute_force_semigroups(n: int) -> tuple:
     """Every associative n x n grid, found by filtering all n^(n*n)
@@ -380,8 +392,17 @@ def literal_quasi_cancellative(s: CayleyTable) -> tuple:
     return True, None
 
 
+def adjoin_zero(s: CayleyTable) -> CayleyTable:
+    """The table extended by a fresh zero, the last element n."""
+    n = s.n
+    return CayleyTable([list(r) + [n] for r in s.rows] + [[n] * (n + 1)])
+
+
 def zoo_tables() -> list:
-    """Small zoo tables and a direct product, beyond the exhaustive orders."""
+    """Small zoo tables, a direct product and a group with a zero, beyond
+    the exhaustive orders.  The group with a zero has one left and one
+    right kernel shared by its five group elements, so the kernel scans
+    skip most pairs before its zero fails weak cancellation."""
     return [
         rectangular_band(2, 3),
         cyclic_group(6),
@@ -389,6 +410,7 @@ def zoo_tables() -> list:
         null_semigroup(5),
         monogenic(3, 2),
         direct_product(rectangular_band(2, 2), cyclic_group(3)),
+        adjoin_zero(cyclic_group(5)),
     ]
 
 

@@ -1,9 +1,11 @@
 import functools
+import hashlib
 import io
 
 import pytest
 
 from finsemi import PROFILE_KEYS, classify, format_table, parse_table, run_checks
+from finsemi import cli
 from finsemi.cli import load_table, main
 from finsemi.decomposition import CHECK_IDS
 
@@ -31,6 +33,41 @@ def test_zoo_rejects_unknown_family(capsys):
 def test_zoo_rejects_wrong_arity(capsys):
     code, _, err = run_cli(capsys, "zoo", "monogenic", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "zoo:cyclic:100000"),
+        ("verify", "zoo:rectangular_band:100000,100000"),
+        ("decompose", "zoo:monogenic:200,58"),
+        ("zoo", "null", "257"),
+    ],
+)
+def test_oversized_zoo_table_exits_2_before_it_is_built(capsys, monkeypatch, argv):
+    def refuse(*params):
+        raise AssertionError(f"constructor called with {params}")
+
+    for name, (_, arity, size) in list(cli._ZOO_FAMILIES.items()):
+        monkeypatch.setitem(cli._ZOO_FAMILIES, name, (refuse, arity, size))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"zoo tables have at most {cli._ZOO_MAX_ELEMENTS}" in err
+
+
+def test_zoo_tables_up_to_the_bound_are_built(monkeypatch):
+    assert cli._ZOO_MAX_ELEMENTS >= 128
+    built = []
+    for name, (_, arity, size) in list(cli._ZOO_FAMILIES.items()):
+        monkeypatch.setitem(
+            cli._ZOO_FAMILIES, name, (lambda *p: built.append(p), arity, size)
+        )
+    bound = cli._ZOO_MAX_ELEMENTS
+    load_table(f"zoo:cyclic:{bound}")
+    load_table(f"zoo:monogenic:200,{bound - 199}")
+    load_table("zoo:rectangular_band:16,16")
+    assert built == [(bound,), (200, bound - 199), (16, 16)]
 
 
 def test_zoo_shorthand_parsing():
@@ -165,6 +202,16 @@ def test_verify_corpus_4_diagram_exits_0_with_counts(capsys):
     assert head.startswith("diagram: verified")
     assert "separative->qs+wb=272" in head
     assert "weakly_cancellative->qs+qc=48" in head
+
+
+def test_verify_corpus_4_all_output_is_pinned(capsys):
+    # the digest of this report recorded in CHANGES.md; every
+    # speed-up of the table scans has to keep it
+    code, out, _ = run_cli(capsys, "verify", "--corpus", "4", "--theorem", "all")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "59f091ad79271df9ace9ec36002ec35d63d8062854cd7f0883f470f779f23a45"
+    )
 
 
 def test_verify_corpus_4_t6_reports_violations(capsys):

@@ -65,6 +65,25 @@ def test_validate_rejects_non_associative_with_witness():
     assert grid[grid[x][y]][z] != grid[x][grid[y][z]]
 
 
+def test_validate_reports_the_first_witness_of_the_triple_scan():
+    from itertools import product as iproduct
+
+    assert validate([[0]]).rows == ((0,),)
+    rejected = 0
+    for n in (1, 2, 3):
+        for values in iproduct(range(n), repeat=n * n):
+            grid = tuple(values[i * n : (i + 1) * n] for i in range(n))
+            witness = oracles.first_associativity_witness(grid)
+            if witness is None:
+                assert validate(grid).rows == grid
+                continue
+            rejected += 1
+            with pytest.raises(NotAssociative) as exc:
+                validate(grid)
+            assert exc.value.witness == witness
+    assert rejected == (16 - 8) + (19683 - 113)
+
+
 def test_validate_rejects_non_square():
     with pytest.raises(FormatError):
         validate([[0, 0]])

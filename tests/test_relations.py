@@ -14,10 +14,11 @@ from finsemi import (
     left_zero,
     null_semigroup,
     parse_relation,
+    rectangular_band,
     right_equalizer,
     validate,
 )
-from finsemi.relations import context_equivalent
+from finsemi.relations import _kernel, _kernels, context_equivalent
 
 import oracles
 
@@ -56,6 +57,21 @@ def test_equalizers_match_naive_kernels():
         for a in range(s.n):
             assert pairs_set(left_equalizer(s, a)) == oracles.left_kernel_pairs(s, a)
             assert pairs_set(right_equalizer(s, a)) == oracles.right_kernel_pairs(s, a)
+
+
+def test_equal_kernels_are_one_object():
+    s = rectangular_band(2, 3)
+    left, right = s.fact(_kernels)
+    kernels = left + right
+    # every a*x keeps the column of x, every x*b the row of x
+    assert len({id(k) for k in left}) == len({id(k) for k in right}) == 1
+    assert left[0] != right[0]
+    for k in kernels:
+        for other in kernels:
+            assert (k == other) == (k is other)
+    for a in range(s.n):
+        assert left[a] == _kernel(s.rows[a])
+        assert right[a] == _kernel([r[a] for r in s.rows])
 
 
 def test_equalizers_are_equivalences():
