@@ -22,14 +22,6 @@ from finsemi import (
 )
 
 
-def grid_is_associative(grid) -> bool:
-    n = len(grid)
-    r = range(n)
-    return all(
-        grid[grid[x][y]][z] == grid[x][grid[y][z]] for x in r for y in r for z in r
-    )
-
-
 def first_associativity_witness(grid):
     """The first (x, y, z), scanning x, then y, then z ascending, with
     (x*y)*z != x*(y*z), or None when the grid is associative."""
@@ -40,6 +32,10 @@ def first_associativity_witness(grid):
                 if grid[grid[x][y]][z] != grid[x][grid[y][z]]:
                     return (x, y, z)
     return None
+
+
+def grid_is_associative(grid) -> bool:
+    return first_associativity_witness(grid) is None
 
 
 @lru_cache(maxsize=None)
