@@ -11,8 +11,6 @@ from .congruence import (
     Congruence,
     NotACongruence,
     induced_congruence,
-    is_band,
-    is_semilattice,
     least_semilattice_congruence,
     quotient,
 )
@@ -23,7 +21,6 @@ from .core import (
     OutOfRangeEntry,
     adjoin_identity,
     format_table,
-    is_commutative,
     parse_table,
     validate,
 )
@@ -51,11 +48,14 @@ from .properties import (
     classify,
     format_profile,
     has_square_descent,
+    is_band,
     is_cancellative,
+    is_commutative,
     is_left_cancellative,
     is_quasi_cancellative,
     is_quasi_separative,
     is_right_cancellative,
+    is_semilattice,
     is_separative,
     is_weakly_balanced,
     is_weakly_cancellative,

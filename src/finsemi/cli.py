@@ -23,6 +23,7 @@ from .core import (
 )
 from .decomposition import (
     CHECK_IDS,
+    _check_workers,
     decompose,
     format_report,
     normalize_check_id,
@@ -261,7 +262,9 @@ def cmd_zoo(args) -> int:
 
 
 def cmd_search_converse(args) -> int:
-    result = search_cor15_converse(args.max_order, workers=args.workers)
+    _check_order(args.max_order)
+    _check_workers(args.workers)
+    result = search_cor15_converse(args.max_order)
     if result is None:
         print(
             f"exhausted canonical tables through order {args.max_order}: "
@@ -360,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument(
-        "--workers", type=int, default=1, help="checked; the scan runs in one process"
+        "--workers", type=int, default=1, help="at least 1; the scan runs in one process"
     )
     p.set_defaults(func=cmd_search_converse)
 

@@ -10,9 +10,8 @@ callers may supply relations that are not admissible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .core import CayleyTable, is_commutative, validate
+from .core import CayleyTable, validate
 from .relations import BinaryRelation, _kernels
 
 
@@ -140,19 +139,3 @@ def quotient(s: CayleyTable, c: Congruence) -> CayleyTable:
                 )
     return validate(q)
 
-
-def _band_with_witness(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
-    """Verdict and first witness (x,) with x*x != x."""
-    for x in range(s.n):
-        if s.rows[x][x] != x:
-            return False, (x,)
-    return True, None
-
-
-def is_band(s: CayleyTable) -> bool:
-    """Every element is idempotent."""
-    return _band_with_witness(s)[0]
-
-
-def is_semilattice(s: CayleyTable) -> bool:
-    return is_band(s) and is_commutative(s)

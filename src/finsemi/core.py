@@ -4,8 +4,9 @@ A semigroup on the carrier {0, ..., n-1} is stored as its full n x n
 multiplication table.  Tables are immutable once built; `validate` is the
 entry point for untrusted grids and checks closure and associativity.
 Each table keeps the facts other modules derive from it (equalizer
-kernels, canonical relation, classifier verdicts, decomposition): `fact`
-computes one on first use and keeps it as long as the table.
+kernels, canonical relation, the classifier verdicts of `properties`,
+decomposition): `fact` computes one on first use and keeps it as long as
+the table; this module defines no classifier.
 `adjoin_identity` returns a plain table whose fresh identity is the
 last element n.
 """
@@ -13,7 +14,7 @@ last element n.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class OutOfRangeEntry(ValueError):
@@ -123,20 +124,6 @@ def adjoin_identity(s: CayleyTable) -> CayleyTable:
     rows = [list(r) + [i] for i, r in enumerate(s.rows)]
     rows.append(list(range(n + 1)))
     return CayleyTable(rows)
-
-
-def _commutative_with_witness(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
-    """Verdict and first witness (x, y), x < y, with x*y != y*x."""
-    n, rows = s.n, s.rows
-    for x in range(n):
-        for y in range(x + 1, n):
-            if rows[x][y] != rows[y][x]:
-                return False, (x, y)
-    return True, None
-
-
-def is_commutative(s: CayleyTable) -> bool:
-    return _commutative_with_witness(s)[0]
 
 
 def parse_table(text: str) -> CayleyTable:

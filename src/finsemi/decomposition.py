@@ -22,16 +22,10 @@ from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .congruence import (
-    Congruence,
-    NotACongruence,
-    induced_congruence,
-    is_semilattice,
-    quotient,
-)
+from .congruence import Congruence, NotACongruence, induced_congruence, quotient
 from .core import CayleyTable, validate
 from .enumeration import _check_order, _orbit, enumerate_canonical
-from .properties import PropertyProfile, _holds, classify
+from .properties import PropertyProfile, _holds, classify, is_semilattice
 from .relations import (
     BinaryRelation,
     _canonical,
@@ -61,7 +55,11 @@ class SemilatticeDecomposition:
     congruence: Congruence
     quotient: CayleyTable
     components: tuple[Optional[Component], ...]
-    quotient_is_semilattice: bool
+
+    @property
+    def quotient_is_semilattice(self) -> bool:
+        """The semilattice verdict, a fact of the quotient table."""
+        return is_semilattice(self.quotient)
 
 
 def decompose(s: CayleyTable) -> SemilatticeDecomposition:
@@ -93,9 +91,7 @@ def decompose(s: CayleyTable) -> SemilatticeDecomposition:
             components.append(Component(validate(sub), cls))
         else:
             components.append(None)
-    return SemilatticeDecomposition(
-        rel, cong, q, tuple(components), is_semilattice(q)
-    )
+    return SemilatticeDecomposition(rel, cong, q, tuple(components))
 
 
 def _decomposed(s: CayleyTable):
@@ -351,8 +347,8 @@ def strictness_witnesses() -> list[tuple[str, str, bool]]:
         ("null_semigroup(2)", zoo.null_semigroup(2), "weakly_balanced",
          "quasi_separative", "weakly balanced but not quasi-separative"),
     ):
-        p = classify(table)
-        out.append((name, claim, getattr(p, holds) and not getattr(p, fails)))
+        ok = _holds(table, holds)[0] and not _holds(table, fails)[0]
+        out.append((name, claim, ok))
     w = zoo.bicyclic_weakly_balanced_witness()
     claim = "balance premise holds yet its conclusion fails"
     out.append(("bicyclic monoid", claim, w.premise_holds and not w.conclusion_holds))
@@ -521,19 +517,16 @@ def _cor15_converse_candidate(s: CayleyTable) -> bool:
     )
 
 
-def search_cor15_converse(
-    max_order: int, workers: int = 1
-) -> Optional[CayleyTable]:
+def search_cor15_converse(max_order: int) -> Optional[CayleyTable]:
     """Scan canonical tables of order 1..max_order for a quasi-separative
     table that decomposes into weakly cancellative components yet is not
     weakly balanced.  Returns the first hit in scan order, or None when
     the range is exhausted.  The outcome is reported neutrally: finding
-    a table and finding none are both valid results.  `workers` is
-    checked as in `run_checks`, but the scan runs in this process: within
-    16 classes it reaches the order-3 hit, or exhausts orders 1 and 2.
+    a table and finding none are both valid results.  The scan runs in
+    this process: within 16 classes it reaches the order-3 hit, or
+    exhausts orders 1 and 2.
     """
     _check_order(max_order)
-    _check_workers(workers)
     tables = (
         s for n in range(1, max_order + 1) for s in enumerate_canonical(n, "iso_anti")
     )

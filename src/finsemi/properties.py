@@ -1,8 +1,10 @@
 """Classifiers for the semigroup classes handled by this package.
 
-Every predicate reports the first witness in search order for a failing
-property.  Its verdict is a table fact: `classify` and the checks read
-`s.fact(predicate)`, so each predicate runs at most once per table.
+This module alone defines, registers and reads them.  Each predicate
+reports the first witness in search order for a failing property.  Its
+verdict is a table fact: `classify`, the checks and `is_band`,
+`is_commutative` and `is_semilattice` read `s.fact(predicate)`, so each
+predicate runs at most once per table.
 Most scan the table's equalizer kernels (the fact `relations._kernels`:
 L[a][x] is the mask of all y with a*y = a*x, R[a][x] of all y with
 y*a = x*a) instead of quantifying over y.  Left cancellation fails at
@@ -22,14 +24,31 @@ before it, so the first failing (a, b) and its witness are unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field, make_dataclass
 from functools import reduce
 from operator import or_
 from typing import Optional
 
-from .congruence import _band_with_witness
-from .core import CayleyTable, _commutative_with_witness
+from .core import CayleyTable
 from .relations import _canonical, _kernels, _low_bit
+
+
+def _commutative_with_witness(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
+    """Verdict and first witness (x, y), x < y, with x*y != y*x."""
+    n, rows = s.n, s.rows
+    for x in range(n):
+        for y in range(x + 1, n):
+            if rows[x][y] != rows[y][x]:
+                return False, (x, y)
+    return True, None
+
+
+def _band_with_witness(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
+    """Verdict and first witness (x,) with x*x != x."""
+    for x in range(s.n):
+        if s.rows[x][x] != x:
+            return False, (x,)
+    return True, None
 
 
 def is_separative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
@@ -165,34 +184,45 @@ _PREDICATES = {
 PROFILE_KEYS = tuple(_PREDICATES)
 
 
-@dataclass(frozen=True, eq=True)
-class PropertyProfile:
-    """Boolean classification across all supported classes.
+def _as_dict(self) -> dict[str, bool]:
+    return {k: getattr(self, k) for k in PROFILE_KEYS}
+
+
+# One bool field per registered classifier, in `PROFILE_KEYS` order.
+PropertyProfile = make_dataclass(
+    "PropertyProfile",
+    [(key, bool) for key in PROFILE_KEYS]
+    + [("witnesses", dict, field(default_factory=dict, compare=False))],
+    namespace={
+        "__doc__": """Boolean classification across all supported classes.
 
     Every False entry has a witness tuple under the same key in
     `witnesses`; each witness violates the property it is filed under.
-    """
-
-    commutative: bool
-    band: bool
-    cancellative: bool
-    left_cancellative: bool
-    right_cancellative: bool
-    separative: bool
-    quasi_separative: bool
-    weakly_cancellative: bool
-    weakly_balanced: bool
-    quasi_cancellative: bool
-    square_descent: bool
-    witnesses: dict = field(default_factory=dict, compare=False)
-
-    def as_dict(self) -> dict[str, bool]:
-        return {k: getattr(self, k) for k in PROFILE_KEYS}
+    """,
+        "__module__": __name__,
+        "as_dict": _as_dict,
+    },
+    frozen=True,
+)
 
 
 def _holds(s: CayleyTable, key: str) -> tuple[bool, Optional[tuple]]:
     """Verdict and first witness of the classifier `key`, a fact of `s`."""
     return s.fact(_PREDICATES[key])
+
+
+def is_band(s: CayleyTable) -> bool:
+    """Every element is idempotent."""
+    return _holds(s, "band")[0]
+
+
+def is_commutative(s: CayleyTable) -> bool:
+    return _holds(s, "commutative")[0]
+
+
+def is_semilattice(s: CayleyTable) -> bool:
+    """A commutative band."""
+    return is_band(s) and is_commutative(s)
 
 
 def classify(s: CayleyTable) -> PropertyProfile:

@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .congruence import is_semilattice
 from .core import CayleyTable, validate
+from .properties import is_semilattice
 from .relations import context_equivalent
 
 

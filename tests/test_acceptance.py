@@ -348,13 +348,9 @@ def test_criterion_09_enumeration_counts(corpus):
 
 
 def test_criterion_10_converse_search_determinism(capsys):
-    results = [
-        search_cor15_converse(4),
-        search_cor15_converse(4),
-        search_cor15_converse(4, workers=2),
-    ]
+    results = [search_cor15_converse(4), search_cor15_converse(4)]
     assert results[0] is not None
-    same_result = results[0] == results[1] == results[2]
+    same_result = results[0] == results[1]
 
     outputs = []
     for argv in (

@@ -4,11 +4,13 @@ import pytest
 
 from finsemi import (
     NotACongruence,
+    admissible_candidates,
     canonical_form,
     chain_semilattice,
     classify,
     cyclic_group,
     decompose,
+    is_band,
     is_commutative,
     is_quasi_separative,
     is_semilattice,
@@ -20,7 +22,7 @@ from finsemi import (
     strictness_witnesses,
     validate,
 )
-from finsemi.core import _commutative_with_witness
+from finsemi.properties import _commutative_with_witness
 from finsemi.decomposition import (
     CHECK_IDS,
     CHECKS,
@@ -261,11 +263,6 @@ def test_search_converse_finds_order_three_witness():
     assert all(is_weakly_cancellative(c.table)[0] for c in d.components)
 
 
-def test_search_converse_worker_counts_agree():
-    assert search_cor15_converse(3, workers=2) == search_cor15_converse(3)
-    assert search_cor15_converse(2, workers=2) is None
-
-
 def test_search_converse_order_bounds():
     from finsemi import OrderTooLarge
 
@@ -350,6 +347,37 @@ def test_check_registry_complete():
     }
 
 
+NOT_A_CONGRUENCE = ((0, 1, 0), "left multiplication separates related elements")
+
+
+@pytest.fixture
+def no_congruence(monkeypatch):
+    """Make every congruence the checks induce fail compatibility with the
+    witness and detail of NOT_A_CONGRUENCE: `decompose` raises on no
+    table of order <= 5, so the checks' non-congruence paths need this.
+    Tables must be fresh, since a decomposition is a cached fact."""
+
+    def refuse(s, rel):
+        raise NotACongruence(*NOT_A_CONGRUENCE)
+
+    monkeypatch.setattr("finsemi.decomposition.induced_congruence", refuse)
+
+
+def test_checks_report_a_non_congruence(no_congruence):
+    witness, detail = NOT_A_CONGRUENCE
+    for check in (verify_semilattice_decomposition, verify_cancellative_components):
+        # the chain is separative, so both checks apply to it
+        r = check(chain_semilattice(2))
+        assert r.verdict == "violated"
+        assert r.witnesses == (("not_a_congruence", witness),)
+    s = chain_semilattice(2)
+    names = [name for name, _ in admissible_candidates(s)]
+    assert names == ["diagonal", "canonical", "full"]
+    r = verify_congruence_construction(s)
+    assert r.verdict == "violated"
+    assert r.witnesses == tuple((name, witness, detail) for name in names)
+
+
 def test_run_checks_decomposes_each_table_once_per_call(monkeypatch):
     import finsemi.decomposition as decomposition
 
@@ -399,10 +427,17 @@ def test_checks_and_classify_run_each_predicate_once_per_table(monkeypatch):
         monkeypatch.setitem(properties._PREDICATES, key, counting)
     sources = [validate(s.rows) for s in oracles.labeled_corpus(3)]
     for s in sources:
+        # the boolean helpers read the same facts as the checks
+        is_band(s), is_commutative(s), is_semilattice(s)
+        assert computed[id(s), "band"] == computed[id(s), "commutative"] == 1
         for check in CHECKS.values():
             check(s)
         classify(s)
-    # component tables were counted too
+        # a quotient's semilattice verdict is a fact of the quotient table
+        d = decompose(s)
+        d.quotient_is_semilattice
+        classify(d.quotient)
+    # component and quotient tables were counted too
     assert {id(t) for t in tables} > {id(s) for s in sources}
     assert max(computed.values()) == 1
 
@@ -454,9 +489,9 @@ def test_pool_is_capped_by_cpus_and_chunks(recording_pool):
     assert run_checks(tables, ids, workers=100000) == serial
     assert run_checks(tables, ids, workers=2) == serial
     assert run_checks(tables[:2], ids, workers=100000) == run_checks(tables[:2], ids)
-    # the converse search scans in this process whatever `workers` says
-    assert search_cor15_converse(3, workers=100000) == search_cor15_converse(3)
-    hit = search_cor15_converse(5, workers=3)
+    # the converse search scans in this process
+    assert search_cor15_converse(3) is not None
+    hit = search_cor15_converse(5)
     assert hit.rows == ((0, 0, 0), (0, 1, 1), (0, 2, 2))
     # each pool is handed one table per task
     assert recording_pool == [3, 2, 2]
@@ -533,8 +568,6 @@ def test_workers_below_one_are_rejected(recording_pool, workers):
     for given in (tables, []):
         with pytest.raises(ValueError, match=f"got {workers}"):
             run_checks(given, ["t4"], workers=workers)
-    with pytest.raises(ValueError, match=f"got {workers}"):
-        search_cor15_converse(2, workers=workers)
     with pytest.raises(ValueError, match=f"got {workers}"):
         verify_corpus(2, ["t4"], workers=workers)
     assert recording_pool == []
