@@ -4,14 +4,7 @@ import io
 
 import pytest
 
-from finsemi import (
-    PROFILE_KEYS,
-    NotACongruence,
-    classify,
-    format_table,
-    parse_table,
-    run_checks,
-)
+from finsemi import PROFILE_KEYS, classify, format_table, parse_table, run_checks
 from finsemi import cli
 from finsemi.cli import load_table, main
 from finsemi.decomposition import CHECK_IDS
@@ -169,18 +162,11 @@ def test_decompose_dot_requires_semilattice_quotient(capsys):
 
 
 @pytest.mark.parametrize("dot", [(), ("--dot",)])
-def test_decompose_non_congruence_exits_1(capsys, monkeypatch, dot):
-    # no table of order <= 5 reaches this path, so the congruence is refused
-    def refuse(s, rel):
-        raise NotACongruence((0, 1, 0), "left multiplication separates related elements")
-
-    monkeypatch.setattr("finsemi.decomposition.induced_congruence", refuse)
+def test_decompose_non_congruence_exits_1(capsys, no_congruence, dot):
+    witness, detail = no_congruence
     code, out, err = run_cli(capsys, "decompose", "zoo:chain:2", *dot)
     assert (code, out) == (1, "")
-    assert err == (
-        "induced equivalence is not a congruence: left multiplication "
-        "separates related elements; witness (0, 1, 0)\n"
-    )
+    assert err == f"induced equivalence is not a congruence: {detail}; witness {witness}\n"
 
 
 def test_decompose_reports_non_closed_classes(capsys):

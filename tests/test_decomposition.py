@@ -347,24 +347,8 @@ def test_check_registry_complete():
     }
 
 
-NOT_A_CONGRUENCE = ((0, 1, 0), "left multiplication separates related elements")
-
-
-@pytest.fixture
-def no_congruence(monkeypatch):
-    """Make every congruence the checks induce fail compatibility with the
-    witness and detail of NOT_A_CONGRUENCE: `decompose` raises on no
-    table of order <= 5, so the checks' non-congruence paths need this.
-    Tables must be fresh, since a decomposition is a cached fact."""
-
-    def refuse(s, rel):
-        raise NotACongruence(*NOT_A_CONGRUENCE)
-
-    monkeypatch.setattr("finsemi.decomposition.induced_congruence", refuse)
-
-
 def test_checks_report_a_non_congruence(no_congruence):
-    witness, detail = NOT_A_CONGRUENCE
+    witness, detail = no_congruence
     for check in (verify_semilattice_decomposition, verify_cancellative_components):
         # the chain is separative, so both checks apply to it
         r = check(chain_semilattice(2))
