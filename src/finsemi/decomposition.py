@@ -9,8 +9,9 @@ read the decomposition and the classifier verdicts as facts of the table
 once per component table.  Corpus aggregation and the open counterexample
 search live here too: `verify_corpus` reports on every labeled table of
 an order from one table per isomorphism class, each count weighted by
-the class's orbit size, and checks the members of a class one by one
-only where its representative yields a witness.
+the class's orbit size as the enumeration's fill counts it, and builds
+and checks the members of a class one by one only where its
+representative yields a witness.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 from .congruence import Congruence, NotACongruence, induced_congruence, quotient
 from .core import CayleyTable, validate
-from .enumeration import _check_order, _orbit, enumerate_canonical
+from .enumeration import _check_order, _classes, _orbit, enumerate_canonical
 from .properties import PropertyProfile, _holds, classify, is_semilattice
 from .relations import (
     BinaryRelation,
@@ -405,33 +406,31 @@ def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
     )
 
 
-def _itself(s: CayleyTable) -> tuple:
-    """The labeled tables that a table of `run_checks` stands for."""
-    return (s.rows,)
-
-
-def _check_class(ids, orbit, grid) -> tuple:
-    """One report per check in `ids` for the labeled tables in
-    `orbit(s)`, the table `grid` first.  Every check is invariant under
-    relabeling, so each report has s's verdict and s's counts times the
-    orbit size.  Where s yields a witness, the report also holds each
-    other member's own witnesses, in member order.  Each witness is
-    tagged with its table, so aggregated reports stay re-checkable."""
+def _check_class(ids, item) -> tuple:
+    """One report per check in `ids` for the `size` labeled tables that
+    the table `grid` stands for, `item` being (grid, size): its orbit in
+    `verify_corpus`, the table itself (size 1) in `run_checks`.  Every
+    check is invariant under relabeling, so each report has the table's
+    verdict and its counts times `size`.  The orbit is built only where
+    the table yields a witness and stands for more than itself; then the
+    report also holds each other member's own witnesses, in member
+    order.  Each witness is tagged with its table, so aggregated reports
+    stay re-checkable."""
+    grid, size = item
     # A fresh table, not the caller's: its facts are dropped with it after
     # its checks, so a corpus run does not keep every table's facts and a
     # second run computes them again.
     s = CayleyTable(grid)
-    members = orbit(s)
     reports = [CHECKS[check_id](s) for check_id in ids]
     others = []
-    if any(r.witnesses for r in reports):
-        others = [CayleyTable(m) for m in members[1:]]
+    if size > 1 and any(r.witnesses for r in reports):
+        others = [CayleyTable(m) for m in _orbit(s)[1:]]
     out = []
     for check_id, r in zip(ids, reports):
         witnesses = [(grid, w) for w in r.witnesses]
         for m in others if witnesses else ():
             witnesses.extend((m.rows, w) for w in CHECKS[check_id](m).witnesses)
-        counts = tuple((k, v * len(members)) for k, v in r.counts)
+        counts = tuple((k, v * size) for k, v in r.counts)
         out.append(VerificationReport(r.check, r.verdict, tuple(witnesses), counts))
     return tuple(out)
 
@@ -456,11 +455,11 @@ def _map(fn, items: list, workers: int) -> list:
         return pool.map(fn, items)
 
 
-def _check_all(ids, orbit, grids: list, workers: int) -> list[VerificationReport]:
-    """`_check_class` on every grid, through `_map`, merged per check in
-    grid order; not-applicable reports for no grids."""
+def _check_all(ids, items: list, workers: int) -> list[VerificationReport]:
+    """`_check_class` on every (grid, size) item, through `_map`, merged
+    per check in item order; not-applicable reports for no items."""
     ids = list(ids)
-    per_class = _map(functools.partial(_check_class, ids, orbit), grids, workers)
+    per_class = _map(functools.partial(_check_class, ids), items, workers)
     if not per_class:
         return [_report(check_id, "not-applicable") for check_id in ids]
     return [merge_reports(reports) for reports in zip(*per_class)]
@@ -473,7 +472,7 @@ def run_checks(
     check.  With workers > 1 a pool checks the tables, one table per
     task, and the reports are merged in table order, so the output is
     identical to a single-worker run."""
-    return _check_all(ids, _itself, [t.rows for t in tables], workers)
+    return _check_all(ids, [(t.rows, 1) for t in tables], workers)
 
 
 def verify_corpus(
@@ -484,16 +483,17 @@ def verify_corpus(
 
     Every check is invariant under relabeling, so a class's members all
     report what its representative does: each report holds the
-    representative's verdict and its counts times the orbit size, and
-    only a class with a witness is expanded into its members, for their
-    own witnesses.  With workers > 1 a pool checks the classes, one class
+    representative's verdict and its counts times the orbit size, which
+    the fill counts along with the representative (`_classes`), and only
+    a class with a witness is expanded into its members, for their own
+    witnesses.  With workers > 1 a pool checks the classes, one class
     per task.  Sorting the tagged witnesses by grid restores the labeled
     stream's order.  Transposing is no symmetry here: p7 reads left
     equalizers only."""
-    grids = [s.rows for s in enumerate_canonical(n, "iso")]
+    classes = [(s.rows, size) for s, size in _classes(n, "iso")]
     return [
         replace(r, witnesses=tuple(sorted(r.witnesses, key=itemgetter(0))))
-        for r in _check_all(ids, _orbit, grids, workers)
+        for r in _check_all(ids, classes, workers)
     ]
 
 

@@ -6,9 +6,12 @@ determined, so complete grids are associative by construction.  The
 exhaustive fill tries the values in order and streams the lex leaders:
 the tables that are their own canonical form, one per class.  It drops a
 partial table as soon as a relabeling of it is smaller, and remembers no
-earlier class.  Canonical forms minimize over all relabelings and,
-optionally, over the transpose, so mirror images share one.  The labeled
-tables are the union of the isomorphism classes, which are disjoint:
+earlier class.  Each leader comes with the number of relabelings that
+map it onto itself, which the fill finds by comparing them with the
+complete table, so a class's orbit size needs no orbit.  Canonical forms
+minimize over all relabelings and, optionally, over the transpose, so
+mirror images share one.  The labeled tables are the union of the
+isomorphism classes, which are disjoint:
 the labeled stream relabels each class representative and sorts the
 members of all classes.  A random draw takes the first value that fits
 in a random order and starts again at a cell that none fits.
@@ -86,9 +89,10 @@ def _ok_after(t: list[list[int]], n: int, r: int, c: int) -> bool:
     return True
 
 
-def _fills(n: int, relabelings) -> Iterator[CayleyTable]:
+def _fills(n: int, relabelings) -> Iterator[tuple[CayleyTable, int]]:
     """The associative n x n tables that are <= each of `relabelings` of
-    themselves, filled cell by cell in row-major order.
+    themselves, filled cell by cell in row-major order, each with the
+    number of `relabelings` that map it onto itself (its ties).
 
     `relabelings` lists (perm, src) pairs as `_each_relabeling` builds
     them, without the identity (so it is empty only for n = 1 in "iso" mode).
@@ -97,22 +101,28 @@ def _fills(n: int, relabelings) -> Iterator[CayleyTable]:
     same way.  A relabeling whose comparison has stopped at position
     `pos` waits in `waiting` on the later of the cells `pos` and
     `src[pos]`; once that cell is accepted, it resumes until it meets a
-    cell not yet filled, and is dropped once it compares greater.
+    cell not yet filled, and is dropped once it compares greater.  One
+    that ties through the last cell waits on the slot after it, so at a
+    complete table that slot holds the ties: with the identity they are
+    the table's stabilizer, and the orbit has len(relabelings) + 1 over
+    ties + 1 members (orbit-stabilizer).
     """
     t = [[-1] * n for _ in range(n)]
     last = n * n
     flat = [-1] * last  # the accepted cells of t in row-major order
-    waiting = [[] for _ in range(last)]
+    waiting = [[] for _ in range(last + 1)]
     for perm, src in relabelings:
-        waiting[src[0]].append((perm, src, 0))
+        # position `last` maps to the slot after the last cell
+        waiting[src[0]].append((perm, src + (last,), 0))
     return _fill(0, t, flat, waiting)
 
 
 def _resume(k: int, flat: list[int], waiting) -> Optional[list[int]]:
     """Resume every relabeling waiting on cell k and park it on the next
-    cell it needs; the cells parked on, or None (and nothing parked) when
-    one relabeling is already smaller than the table."""
-    last = len(flat)
+    cell it needs, or on the slot after the last cell once it ties through
+    that cell (possible only at the last cell, k = n*n - 1); the slots
+    parked on, or None (and nothing parked) when one relabeling is already
+    smaller than the table."""
     parked = []
     for perm, src, pos in waiting[k]:
         while True:
@@ -121,8 +131,6 @@ def _resume(k: int, flat: list[int], waiting) -> Optional[list[int]]:
             if a != b:
                 break
             pos += 1
-            if pos == last:
-                break
             w = src[pos]
             if w < pos:
                 w = pos
@@ -137,12 +145,13 @@ def _resume(k: int, flat: list[int], waiting) -> Optional[list[int]]:
     return parked
 
 
-def _fill(k: int, t, flat, waiting) -> Iterator[CayleyTable]:
-    """The completions of the table t, whose cells before k are filled.
-    The search state is passed down, not closed over, so no frame of a
-    finished or dropped stream is kept alive by a reference cycle."""
+def _fill(k: int, t, flat, waiting) -> Iterator[tuple[CayleyTable, int]]:
+    """The completions of the table t, whose cells before k are filled,
+    each with its ties.  The search state is passed down, not closed
+    over, so no frame of a finished or dropped stream is kept alive by a
+    reference cycle."""
     if k == len(flat):
-        yield CayleyTable([row[:] for row in t])
+        yield CayleyTable([row[:] for row in t]), len(waiting[k])
         return
     n = len(t)
     r, c = divmod(k, n)
@@ -257,6 +266,19 @@ def _orbit(rep: CayleyTable) -> list[tuple]:
     return [_grid(key, rep.n) for key in sorted(_orbit_keys(rep))]
 
 
+def _classes(n: int, mode: str) -> Iterator[tuple[CayleyTable, int]]:
+    """`enumerate_canonical(n, mode)`, each representative with its
+    orbit size: the number of labeled tables in its class, which is the
+    number of relabelings over the number that map it onto itself, n!
+    over its automorphism count in "iso" mode.  The fill counts the
+    relabelings that tie with each representative, so no orbit is built."""
+    _check_order(n)
+    relabelings = _relabelings(n, mode)
+    # the first relabeling is the identity, which every table ties with
+    for rep, ties in _fills(n, relabelings[1:]):
+        yield rep, len(relabelings) // (ties + 1)
+
+
 def enumerate_canonical(n: int, mode: str = "iso_anti") -> Iterator[CayleyTable]:
     """One representative (the canonical form) per isomorphism class, or
     per isomorphism-and-mirror class in "iso_anti" mode, in order of
@@ -270,6 +292,5 @@ def enumerate_canonical(n: int, mode: str = "iso_anti") -> Iterator[CayleyTable]
     cuts every branch that a relabeling already undercuts, so it never
     builds most labeled tables; no memory of earlier classes is kept.
     """
-    _check_order(n)
-    # the first relabeling is the identity, which every table ties with
-    yield from _fills(n, _relabelings(n, mode)[1:])
+    for rep, _ in _classes(n, mode):
+        yield rep

@@ -513,6 +513,27 @@ def test_verify_corpus_checks_each_labeled_table_at_most_once(monkeypatch):
     assert max(Counter(calls).values()) == 1
 
 
+def test_verify_corpus_builds_orbits_only_for_witnessed_classes(monkeypatch):
+    # the fill hands over every class's orbit size, so of the 188 order-4
+    # classes only the 2 whose representative has t6 witnesses build
+    # their orbit, to check its members
+    import finsemi.decomposition as decomposition
+
+    built = []
+    original = decomposition._orbit
+
+    def counting(rep):
+        built.append(rep.rows)
+        return original(rep)
+
+    monkeypatch.setattr(decomposition, "_orbit", counting)
+    t6 = verify_corpus(4, CHECK_IDS)[CHECK_IDS.index("t6")]
+    assert len(built) == 2
+    assert set(built) == {
+        canonical_form(validate(grid), "iso").rows for grid, _ in t6.witnesses
+    }
+
+
 def test_verify_corpus_expands_every_witnessed_class(monkeypatch):
     # Whether a table commutes does not depend on its labeling, but the
     # first non-commuting pair does; a check that reports it has a witness

@@ -18,7 +18,7 @@ from finsemi import (
     right_zero,
     validate,
 )
-from finsemi.enumeration import _orbit, _relabelings
+from finsemi.enumeration import _classes, _orbit, _orbit_keys, _relabelings
 
 import oracles
 
@@ -283,6 +283,24 @@ def test_orbit_sizes_match_automorphism_counts():
             assert orbit == sorted(orbit) and orbit[0] == rep.rows
             members += orbit
         assert sorted(members) == [s.rows for s in enumerate_labeled(n)]
+
+
+def test_fill_weights_are_orbit_sizes():
+    # the fill's tie count gives each class's orbit size; checked against
+    # the orbit built from every relabeling (orders <= 5), against
+    # orbit-stabilizer with the literal automorphism count (orders <= 4),
+    # and summed against OEIS A023814 in both modes, the weights of the
+    # iso_anti classes counting their mirror images too
+    for n, labeled in ((1, 1), (2, 8), (3, 113), (4, 3492), (5, 183732)):
+        classes = list(_classes(n, "iso"))
+        assert [rep for rep, _ in classes] == list(enumerate_canonical(n, "iso"))
+        for rep, weight in classes:
+            assert weight == len(_orbit_keys(rep)), rep.rows
+            if n <= 4:
+                automorphisms = oracles.automorphism_count(rep.rows)
+                assert weight == math.factorial(n) // automorphisms, rep.rows
+        assert sum(weight for _, weight in classes) == labeled
+        assert sum(weight for _, weight in _classes(n, "iso_anti")) == labeled
 
 
 def test_orbit_sizes_sum_to_labeled_counts():

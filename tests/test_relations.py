@@ -9,6 +9,7 @@ from finsemi import (
     chain_semilattice,
     check_admissibility,
     cyclic_group,
+    enumerate_canonical,
     format_relation,
     left_equalizer,
     left_zero,
@@ -155,6 +156,24 @@ def test_admissibility_witnesses_match_oracle_on_zoo_tables():
                 rep.left_witness,
                 rep.right_witness,
             ) == oracles.naive_admissibility_witnesses(s, pairs), s.rows
+
+
+def test_admissibility_of_the_full_relation_matches_oracle_on_order4():
+    # the library skips both stability scans for the full relation; the
+    # literal oracle runs them, on every order-4 iso representative and
+    # its transpose, and agrees on all three verdicts and first witnesses
+    full = {(x, y) for x in range(4) for y in range(4)}
+    for rep in enumerate_canonical(4, "iso"):
+        for s in (rep, rep.transpose()):
+            report = check_admissibility(s, BinaryRelation.full(4))
+            assert (
+                report.balanced_witness,
+                report.left_witness,
+                report.right_witness,
+            ) == oracles.naive_admissibility_witnesses(s, full), s.rows
+            assert (report.balanced, report.left_stable, report.right_stable) == (
+                oracles.naive_admissibility(s, full)
+            ), s.rows
 
 
 def test_admissibility_rejects_other_carrier():
