@@ -112,8 +112,7 @@ def _fills(n: int, relabelings) -> Iterator[tuple[CayleyTable, int]]:
     flat = [-1] * last  # the accepted cells of t in row-major order
     waiting = [[] for _ in range(last + 1)]
     for perm, src in relabelings:
-        # position `last` maps to the slot after the last cell
-        waiting[src[0]].append((perm, src + (last,), 0))
+        waiting[src[0]].append((perm, src, 0))
     return _fill(0, t, flat, waiting)
 
 
@@ -123,6 +122,7 @@ def _resume(k: int, flat: list[int], waiting) -> Optional[list[int]]:
     that cell (possible only at the last cell, k = n*n - 1); the slots
     parked on, or None (and nothing parked) when one relabeling is already
     smaller than the table."""
+    last = len(flat)
     parked = []
     for perm, src, pos in waiting[k]:
         while True:
@@ -131,7 +131,7 @@ def _resume(k: int, flat: list[int], waiting) -> Optional[list[int]]:
             if a != b:
                 break
             pos += 1
-            w = src[pos]
+            w = src[pos] if pos < last else pos
             if w < pos:
                 w = pos
             if w > k:

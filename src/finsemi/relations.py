@@ -177,8 +177,8 @@ def _first_unstable(rows, rel_rows, kernels, translations, on_left: bool):
 def check_admissibility(s: CayleyTable, rel: BinaryRelation) -> AdmissibilityReport:
     """Evaluate the three admissibility conditions over the table's left
     and right kernels, reporting the first witness of each in scan order.
-    The full relation is stable on both sides by definition, so only its
-    balance is scanned."""
+    The full relation holds every translated pair, so it is stable on
+    both sides and only its balance is scanned."""
     if rel.n != s.n:
         raise ValueError("relation carrier does not match the table")
     n, rows, rel_rows = s.n, s.rows, rel.rows
@@ -193,7 +193,6 @@ def check_admissibility(s: CayleyTable, rel: BinaryRelation) -> AdmissibilityRep
         None,
     )
     left_w = right_w = None
-    # every translated pair lies in the full relation, so it is stable
     if rel != BinaryRelation.full(n):
         left_w = _first_unstable(rows, rel_rows, left, rows, True)
         right_w = _first_unstable(rows, rel_rows, right, list(zip(*rows)), False)
