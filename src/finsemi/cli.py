@@ -65,7 +65,8 @@ _ZOO_FAMILIES = {
 _ZOO_MAX_ELEMENTS = 256
 
 # `verify --corpus` runs the checks on every labeled table up to this
-# order and on one table per isomorphism class above it (`verify_corpus`).
+# order and on one table per isomorphism-and-mirror class above it
+# (`verify_corpus`).
 # Both routes print the same.  The class route is faster at order 3 too
 # (7 ms against 25 ms); the labeled one stays there because the
 # benchmark's trace tests assert its call counts on `verify --corpus 3`.
@@ -309,9 +310,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help=f"check every labeled table of order N (N <= {MAX_ORDER}); above "
-        f"order {_LABELED_CORPUS_MAX}, one table per isomorphism class, its "
-        "counts weighted by the class size, and each member of a class that "
-        "has a witness",
+        f"order {_LABELED_CORPUS_MAX}, one table per isomorphism-and-mirror "
+        "class, its counts weighted by the class size, and each member of a "
+        "class that has a witness",
     )
     p.add_argument(
         "--theorem",

@@ -8,10 +8,10 @@ read the decomposition and the classifier verdicts as facts of the table
 (`CayleyTable.fact`), so each is computed once per table, a component's
 once per component table.  Corpus aggregation and the open counterexample
 search live here too: `verify_corpus` reports on every labeled table of
-an order from one table per isomorphism class, each count weighted by
-the class's orbit size as the enumeration's fill counts it, and builds
-and checks the members of a class one by one only where its
-representative yields a witness.
+an order from one table per isomorphism-and-mirror class, each count
+weighted by the class's size (both of its isomorphism orbits) as the
+enumeration's fill counts it, and builds and checks the members of a
+class one by one only where its representative yields a witness.
 """
 
 from __future__ import annotations
@@ -356,6 +356,9 @@ def strictness_witnesses() -> list[tuple[str, str, bool]]:
     return out
 
 
+# `verify_corpus` checks one table per isomorphism-and-mirror class, so
+# each check must report the same verdict and counts on a table and on
+# its transpose; tests/test_decomposition.py checks that for every entry.
 CHECKS = {
     "t4": verify_congruence_construction,
     "t6": verify_semilattice_decomposition,
@@ -408,11 +411,12 @@ def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
 
 def _check_class(ids, item) -> tuple:
     """One report per check in `ids` for the `size` labeled tables that
-    the table `grid` stands for, `item` being (grid, size): its orbit in
-    `verify_corpus`, the table itself (size 1) in `run_checks`.  Every
-    check is invariant under relabeling, so each report has the table's
-    verdict and its counts times `size`.  The orbit is built only where
-    the table yields a witness and stands for more than itself; then the
+    the table `grid` stands for, `item` being (grid, size): its
+    isomorphism-and-mirror class in `verify_corpus`, the table itself
+    (size 1) in `run_checks`.  Every check is invariant under relabeling
+    and transposing, so each report has the table's verdict and its
+    counts times `size`.  The class's members are built only where the
+    table yields a witness and stands for more than itself; then the
     report also holds each other member's own witnesses, in member
     order.  Each witness is tagged with its table, so aggregated reports
     stay re-checkable."""
@@ -424,7 +428,7 @@ def _check_class(ids, item) -> tuple:
     reports = [CHECKS[check_id](s) for check_id in ids]
     others = []
     if size > 1 and any(r.witnesses for r in reports):
-        others = [CayleyTable(m) for m in _orbit(s)[1:]]
+        others = [CayleyTable(m) for m in _orbit(s, "iso_anti")[1:]]
     out = []
     for check_id, r in zip(ids, reports):
         witnesses = [(grid, w) for w in r.witnesses]
@@ -479,18 +483,36 @@ def verify_corpus(
     n: int, ids: Sequence[str], workers: int = 1
 ) -> list[VerificationReport]:
     """The reports of `run_checks` over every labeled table of order n,
-    computed on one table per isomorphism class.
+    computed on one table per isomorphism-and-mirror class.
 
-    Every check is invariant under relabeling, so a class's members all
-    report what its representative does: each report holds the
-    representative's verdict and its counts times the orbit size, which
-    the fill counts along with the representative (`_classes`), and only
-    a class with a witness is expanded into its members, for their own
+    Every check is invariant under relabeling and transposing, so a
+    class's members all report what its representative does: each
+    report holds the representative's verdict and its counts times the
+    class size, the members of both isomorphism orbits, which the fill
+    counts along with the representative (`_classes`), and only a class
+    with a witness is expanded into its members, for their own
     witnesses.  With workers > 1 a pool checks the classes, one class
     per task.  Sorting the tagged witnesses by grid restores the labeled
-    stream's order.  Transposing is no symmetry here: p7 reads left
-    equalizers only."""
-    classes = [(s.rows, size) for s, size in _classes(n, "iso")]
+    stream's order.
+
+    Why transposing is a symmetry.  Transposing a table T into T' swaps
+    the left kernels L and the right kernels R.  `_canonical` marks every
+    pair on which some L[c] and R[c] differ, so the canonical relation
+    rel is balanced: rel & L[a] = rel & R[a] for every a.  The first half
+    of its definition, that every L[c] and R[c] agree on a pair, is
+    symmetric; on the pairs it keeps, the second half, that each context
+    x -> a*x*b agrees with L[b*a], reads R[b*a] instead on T' (with a and
+    b swapped), which is the same.  So T and T' have the same relation.
+    Balance also makes
+    `induced_congruence`, `is_quasi_cancellative` and the p7 scan read
+    the same masks on T and on T'.  Compatibility is two-sided, so the
+    quotient and the components of T' are the transposes of those of T.
+    Every classifier the checks read is self-dual; left and right
+    cancellativity swap, but no check reads either alone.  For t4,
+    `all_satisfied` is symmetric, the diagonal always induces the
+    discrete partition, and the full relation is admissible only when
+    L[a] = R[a] for every a."""
+    classes = [(s.rows, size) for s, size in _classes(n, "iso_anti")]
     return [
         replace(r, witnesses=tuple(sorted(r.witnesses, key=itemgetter(0))))
         for r in _check_all(ids, classes, workers)

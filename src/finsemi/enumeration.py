@@ -176,7 +176,7 @@ def enumerate_labeled(n: int) -> Iterator[CayleyTable]:
     disjoint, so no repeat is dropped across them."""
     keys = []
     for rep in enumerate_canonical(n, "iso"):
-        keys += _orbit_keys(rep)
+        keys += _orbit_keys(rep, "iso")
     keys.sort()
     for key in keys:
         yield CayleyTable(_grid(key, n))
@@ -254,16 +254,20 @@ def canonical_form(s: CayleyTable, mode: str = "iso_anti") -> CayleyTable:
     return CayleyTable(_grid(min(_relabeled(s, mode)), s.n))
 
 
-def _orbit_keys(rep: CayleyTable) -> set[bytes]:
-    """The distinct labeled tables isomorphic to `rep`, as byte keys:
-    n! over the number of automorphisms of `rep`."""
-    return set(_relabeled(rep, "iso"))
+def _orbit_keys(rep: CayleyTable, mode: str) -> set[bytes]:
+    """The distinct labeled tables in the class of `rep`, as byte keys:
+    those isomorphic to `rep`, n! over its automorphism count, and in
+    "iso_anti" mode those isomorphic to its transpose too, the union of
+    both `iso` orbits (one orbit when `rep` is isomorphic to its
+    transpose)."""
+    return set(_relabeled(rep, mode))
 
 
-def _orbit(rep: CayleyTable) -> list[tuple]:
-    """`_orbit_keys(rep)` as row tuples in lexicographic order, which is
-    their order in the labeled stream."""
-    return [_grid(key, rep.n) for key in sorted(_orbit_keys(rep))]
+def _orbit(rep: CayleyTable, mode: str) -> list[tuple]:
+    """`_orbit_keys(rep, mode)` as row tuples in lexicographic order,
+    which is their order in the labeled stream; a class's canonical form
+    comes first."""
+    return [_grid(key, rep.n) for key in sorted(_orbit_keys(rep, mode))]
 
 
 def _classes(n: int, mode: str) -> Iterator[tuple[CayleyTable, int]]:

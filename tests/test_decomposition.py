@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 
 import pytest
@@ -6,10 +7,12 @@ from finsemi import (
     NotACongruence,
     admissible_candidates,
     canonical_form,
+    canonical_relation,
     chain_semilattice,
     classify,
     cyclic_group,
     decompose,
+    enumerate_canonical,
     is_band,
     is_commutative,
     is_quasi_separative,
@@ -490,15 +493,15 @@ def test_verify_corpus_equals_run_checks_over_labeled_tables(recording_pool):
         assert verify_corpus(n, CHECK_IDS) == labeled
         assert verify_corpus(n, CHECK_IDS, workers=3) == labeled
     assert recording_pool == [3, 3, 3]
-    # one iso class per task (5, 24 and 188 classes), so the 2 order-4
-    # classes with t6 witnesses, which carry all 48 expanded members, are
+    # one iso_anti class per task (4, 18 and 126 classes), so the order-4
+    # class with t6 witnesses, which carries all 48 expanded members, is
     # scheduled like any other class
-    assert recording_pool.mapped == [5, 24, 188]
+    assert recording_pool.mapped == [4, 18, 126]
 
 
 def test_verify_corpus_checks_each_labeled_table_at_most_once(monkeypatch):
-    # order 4 has 188 iso classes; the 2 whose representative has t6
-    # witnesses are expanded into their 48 members, and each reuses its
+    # order 4 has 126 iso_anti classes; the 1 whose representative has t6
+    # witnesses is expanded into its 48 members, and it reuses its
     # representative's report for the member that is the representative
     calls = []
     original = CHECKS["t6"]
@@ -509,29 +512,32 @@ def test_verify_corpus_checks_each_labeled_table_at_most_once(monkeypatch):
 
     monkeypatch.setitem(CHECKS, "t6", counting)
     verify_corpus(4, CHECK_IDS)
-    assert len(calls) == 188 + 48 - 2
+    assert len(calls) == 126 + 48 - 1
     assert max(Counter(calls).values()) == 1
 
 
 def test_verify_corpus_builds_orbits_only_for_witnessed_classes(monkeypatch):
-    # the fill hands over every class's orbit size, so of the 188 order-4
-    # classes only the 2 whose representative has t6 witnesses build
-    # their orbit, to check its members
+    # the fill hands over every class's size, so of the 126 order-4
+    # iso_anti classes only the 1 whose representative has t6 witnesses
+    # builds its members, the union of its two iso orbits, to check them
     import finsemi.decomposition as decomposition
 
     built = []
     original = decomposition._orbit
 
-    def counting(rep):
+    def counting(rep, mode):
         built.append(rep.rows)
-        return original(rep)
+        return original(rep, mode)
 
     monkeypatch.setattr(decomposition, "_orbit", counting)
     t6 = verify_corpus(4, CHECK_IDS)[CHECK_IDS.index("t6")]
-    assert len(built) == 2
+    assert len(built) == 1
     assert set(built) == {
-        canonical_form(validate(grid), "iso").rows for grid, _ in t6.witnesses
+        canonical_form(validate(grid), "iso_anti").rows for grid, _ in t6.witnesses
     }
+    # the two iso classes of the 48 witnesses are mirror images
+    a, b = {canonical_form(validate(grid), "iso") for grid, _ in t6.witnesses}
+    assert canonical_form(a.transpose(), "iso") == b
 
 
 def test_verify_corpus_expands_every_witnessed_class(monkeypatch):
@@ -576,3 +582,34 @@ def test_workers_below_one_are_rejected(recording_pool, workers):
     with pytest.raises(ValueError, match=f"got {workers}"):
         verify_corpus(2, ["t4"], workers=workers)
     assert recording_pool == []
+
+
+@functools.cache
+def iso_classes_with_mirrors() -> tuple:
+    """Every iso class representative T of order <= 5 with its transpose
+    T', as (T, T') pairs."""
+    return tuple(
+        (rep, rep.transpose())
+        for n in range(1, 6)
+        for rep in enumerate_canonical(n, "iso")
+    )
+
+
+def test_canonical_relation_is_mirror_invariant():
+    # `verify_corpus` checks one table per iso_anti class; a table and its
+    # transpose have one canonical relation (its docstring says why)
+    pairs = iso_classes_with_mirrors()
+    assert len(pairs) == 1 + 5 + 24 + 188 + 1915  # OEIS A001423
+    for s, mirror in pairs:
+        assert canonical_relation(s) == canonical_relation(mirror), s.rows
+
+
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_checks_are_mirror_invariant(check_id):
+    # every check, a future one included, must report the same verdict
+    # and counts on a table and its transpose for the class route to
+    # stand for both; the witnesses may differ and are checked per member
+    check = CHECKS[check_id]
+    for s, mirror in iso_classes_with_mirrors():
+        r, m = check(s), check(mirror)
+        assert (r.verdict, r.counts) == (m.verdict, m.counts), s.rows

@@ -276,12 +276,34 @@ def test_orbit_sizes_match_automorphism_counts():
     for n in (1, 2, 3, 4):
         members = []
         for rep, weight in _classes(n, "iso"):
-            orbit = _orbit(rep)
+            orbit = _orbit(rep, "iso")
             automorphisms = oracles.automorphism_count(rep.rows)
             assert len(orbit) == weight == math.factorial(n) // automorphisms
             # the representative comes first: `verify_corpus` reuses its
             # reports for that member
             assert orbit == sorted(orbit) and orbit[0] == rep.rows
+            members += orbit
+        assert sorted(members) == [s.rows for s in enumerate_labeled(n)]
+
+
+def test_mirror_orbits_match_class_weights():
+    # an iso_anti class holds the relabelings of its representative and of
+    # the transpose: as many as the weight the fill counts for it, in
+    # stream order with the representative first, which `verify_corpus`
+    # relies on, and the classes partition the labeled stream
+    from itertools import permutations
+
+    for n in (1, 2, 3, 4):
+        members = []
+        for rep, weight in _classes(n, "iso_anti"):
+            orbit = _orbit(rep, "iso_anti")
+            assert len(orbit) == weight
+            assert orbit == sorted(orbit) and orbit[0] == rep.rows
+            assert set(orbit) == {
+                oracles.relabel(base, perm)
+                for base in (rep.rows, rep.transpose().rows)
+                for perm in permutations(range(n))
+            }
             members += orbit
         assert sorted(members) == [s.rows for s in enumerate_labeled(n)]
 
@@ -294,7 +316,7 @@ def test_orbit_sizes_sum_to_labeled_counts():
     for n, labeled in ((1, 1), (2, 8), (3, 113), (4, 3492), (5, 183732)):
         classes = list(_classes(n, "iso"))
         for rep, weight in classes:
-            assert weight == len(_orbit_keys(rep)), rep.rows
+            assert weight == len(_orbit_keys(rep, "iso")), rep.rows
         assert sum(weight for _, weight in classes) == labeled
         assert sum(weight for _, weight in _classes(n, "iso_anti")) == labeled
 
