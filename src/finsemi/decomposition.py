@@ -503,9 +503,9 @@ def verify_corpus(
     symmetric; on the pairs it keeps, the second half, that each context
     x -> a*x*b agrees with L[b*a], reads R[b*a] instead on T' (with a and
     b swapped), which is the same.  So T and T' have the same relation.
-    Balance also makes
-    `induced_congruence`, `is_quasi_cancellative` and the p7 scan read
-    the same masks on T and on T'.  Compatibility is two-sided, so the
+    Balance also makes `induced_congruence`, `is_quasi_cancellative` and
+    the p7 scan read the same masks on T and on T'.  Compatibility is
+    two-sided, so the
     quotient and the components of T' are the transposes of those of T.
     Every classifier the checks read is self-dual; left and right
     cancellativity swap, but no check reads either alone.  For t4,

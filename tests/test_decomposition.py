@@ -1,4 +1,3 @@
-import functools
 from collections import Counter
 
 import pytest
@@ -584,10 +583,10 @@ def test_workers_below_one_are_rejected(recording_pool, workers):
     assert recording_pool == []
 
 
-@functools.cache
+@pytest.fixture(scope="module")
 def iso_classes_with_mirrors() -> tuple:
     """Every iso class representative T of order <= 5 with its transpose
-    T', as (T, T') pairs."""
+    T', as (T, T') pairs, shared by this module's mirror tests."""
     return tuple(
         (rep, rep.transpose())
         for n in range(1, 6)
@@ -595,21 +594,21 @@ def iso_classes_with_mirrors() -> tuple:
     )
 
 
-def test_canonical_relation_is_mirror_invariant():
+def test_canonical_relation_is_mirror_invariant(iso_classes_with_mirrors):
     # `verify_corpus` checks one table per iso_anti class; a table and its
     # transpose have one canonical relation (its docstring says why)
-    pairs = iso_classes_with_mirrors()
+    pairs = iso_classes_with_mirrors
     assert len(pairs) == 1 + 5 + 24 + 188 + 1915  # OEIS A001423
     for s, mirror in pairs:
         assert canonical_relation(s) == canonical_relation(mirror), s.rows
 
 
 @pytest.mark.parametrize("check_id", CHECK_IDS)
-def test_checks_are_mirror_invariant(check_id):
+def test_checks_are_mirror_invariant(iso_classes_with_mirrors, check_id):
     # every check, a future one included, must report the same verdict
     # and counts on a table and its transpose for the class route to
     # stand for both; the witnesses may differ and are checked per member
     check = CHECKS[check_id]
-    for s, mirror in iso_classes_with_mirrors():
+    for s, mirror in iso_classes_with_mirrors:
         r, m = check(s), check(mirror)
         assert (r.verdict, r.counts) == (m.verdict, m.counts), s.rows
