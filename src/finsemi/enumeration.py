@@ -1,20 +1,24 @@
 """Exhaustive and random generation of small semigroups.
 
-Both searches fill a table cell by cell in row-major order and check,
-after each assignment, every product triple that just became fully
-determined, so complete grids are associative by construction.  The
-exhaustive fill tries the values in order and streams the lex leaders:
-the tables that are their own canonical form, one per class.  It drops a
-partial table as soon as a relabeling of it is smaller, and remembers no
-earlier class.  Each leader comes with the number of relabelings that
-map it onto itself, which the fill finds by comparing them with the
-complete table, so a class's orbit size needs no orbit.  Canonical forms
-minimize over all relabelings and, optionally, over the transpose, so
-mirror images share one.  The labeled tables are the union of the
-isomorphism classes, which are disjoint:
-the labeled stream relabels each class representative and sorts the
-members of all classes.  A random draw takes the first value that fits
-in a random order and starts again at a cell that none fits.
+Both searches fill a table cell by cell in row-major order and give
+each cell only the values that keep associating every product triple
+whose cells are filled, so complete grids are associative by
+construction.  Once per cell, the triples in which the cell is one outer
+product only force its value, read from an index of the filled cells by
+value; each value tried is then checked on the 2n triples in which the
+cell is an inner product, (r, c, z) and (x, r, c).  The exhaustive fill
+tries the values in order and streams the lex leaders: the tables that
+are their own canonical form, one per class.  It drops a partial table
+as soon as a relabeling of it is smaller, and remembers no earlier
+class.  Each leader comes with the number of relabelings that map it
+onto itself, which the fill finds by comparing them with the complete
+table, so a class's orbit size needs no orbit.  Canonical forms minimize
+over all relabelings and, optionally, over the transpose, so mirror
+images share one.  The labeled tables are the union of the isomorphism
+classes, which are disjoint: the labeled stream relabels each class
+representative and sorts the members of all classes.  A random draw
+takes the first value that fits in a random order and starts again at a
+cell that none fits.
 """
 
 from __future__ import annotations
@@ -40,53 +44,70 @@ def _check_order(n: int):
         raise OrderTooLarge(n)
 
 
-def _ok_after(t: list[list[int]], n: int, r: int, c: int) -> bool:
-    """Check every associativity triple that the assignment t[r][c] just
-    completed.  A triple (x, y, z) is checked once all four cells its
-    evaluation touches are filled; -1 marks an unfilled cell."""
-    v = t[r][c]
-    tr = t[r]
-    tv = t[v]
-    rng = range(n)
-    # (r, c, z): the pair product starts at the new cell
-    tc = t[c]
-    for z in rng:
-        w = tc[z]
+def _fits(t, at, r, c, values) -> Iterator[int]:
+    """Yield each of `values`, in the order given, that the empty cell
+    (r, c) of the partial table t can hold with every product triple
+    whose four cells are filled still associating, with t[r][c] set to
+    it while it is yielded; the cell is empty again once the values run
+    out.  The filled cells are those before (r, c) in row-major order, -1
+    marks the others, and `at[v]` lists the filled cells (x, y) holding v.
+
+    A triple (x, y, z) reads four cells: the inner products x*y and y*z
+    and the outer products (x*y)*z and x*(y*z).  If the new cell is an
+    inner product, the triple is (r, c, z) or (x, r, c); those 2n
+    triples are checked for each value.  If it is one outer product only
+    and the other three cells are filled, the triple forces the value:
+    v = x*(y*c) for each filled x*y = r, and v = (r*y)*z for each filled
+    y*z = c.  These are read once per cell from `at`, with the cell still
+    empty, and when two of them differ no value fits.  A triple in which
+    the new cell is both outer products and no inner one holds whatever
+    the value.  So a value keeps every triple it completes associating
+    exactly when it is the forced value, if there is one, and (r, c, z)
+    and (x, r, c) associate for every z and x.
+    """
+    forced = -1
+    for x, y in at[r]:
+        w = t[y][c]
         if w >= 0:
-            lhs = tv[z]
-            if lhs >= 0:
-                rhs = tr[w]
-                if rhs >= 0 and lhs != rhs:
-                    return False
-    # (x, r, c): the inner pair ends at the new cell
-    for x in rng:
-        u = t[x][r]
-        if u >= 0:
-            lhs = t[u][c]
-            if lhs >= 0:
-                rhs = t[x][v]
-                if rhs >= 0 and lhs != rhs:
-                    return False
-    # (x, y, c) where x*y lands on row r: the new cell is (x*y)*z
-    for x in rng:
-        tx = t[x]
-        for y in rng:
-            if tx[y] == r:
-                w = t[y][c]
-                if w >= 0:
-                    rhs = tx[w]
-                    if rhs >= 0 and rhs != v:
-                        return False
-    # (r, y, z) where y*z lands on column c: the new cell is x*(y*z)
-    for y in rng:
+            v = t[x][w]
+            if v >= 0 and v != forced:
+                if forced >= 0:
+                    return
+                forced = v
+    tr = t[r]
+    for y, z in at[c]:
         u = tr[y]
         if u >= 0:
-            tu = t[u]
-            ty = t[y]
-            for z in rng:
-                if ty[z] == c and tu[z] >= 0 and tu[z] != v:
-                    return False
-    return True
+            v = t[u][z]
+            if v >= 0 and v != forced:
+                if forced >= 0:
+                    return
+                forced = v
+    tc = t[c]
+    for v in values if forced < 0 else (forced,):
+        tr[c] = v
+        tv = t[v]
+        # (r, c, z): the pair product starts at the new cell
+        for z, w in enumerate(tc):
+            if w >= 0:
+                lhs = tv[z]
+                if lhs >= 0:
+                    rhs = tr[w]
+                    if rhs >= 0 and lhs != rhs:
+                        break
+        else:
+            # (x, r, c): the inner pair ends at the new cell
+            for tx in t:
+                u = tx[r]
+                if u >= 0:
+                    lhs = t[u][c]
+                    if lhs >= 0:
+                        rhs = tx[v]
+                        if rhs >= 0 and lhs != rhs:
+                            break
+            else:
+                yield v
+    tr[c] = -1
 
 
 def _fills(n: int, relabelings) -> Iterator[tuple[CayleyTable, int]]:
@@ -110,10 +131,11 @@ def _fills(n: int, relabelings) -> Iterator[tuple[CayleyTable, int]]:
     t = [[-1] * n for _ in range(n)]
     last = n * n
     flat = [-1] * last  # the accepted cells of t in row-major order
+    at = [[] for _ in range(n)]  # the accepted cells (x, y) holding each value
     waiting = [[] for _ in range(last + 1)]
     for perm, src in relabelings:
         waiting[src[0]].append((perm, src, 0))
-    return _fill(0, t, flat, waiting)
+    return _fill(0, t, flat, at, waiting)
 
 
 def _resume(k: int, flat: list[int], waiting) -> Optional[list[int]]:
@@ -145,28 +167,26 @@ def _resume(k: int, flat: list[int], waiting) -> Optional[list[int]]:
     return parked
 
 
-def _fill(k: int, t, flat, waiting) -> Iterator[tuple[CayleyTable, int]]:
+def _fill(k: int, t, flat, at, waiting) -> Iterator[tuple[CayleyTable, int]]:
     """The completions of the table t, whose cells before k are filled,
-    each with its ties.  The search state is passed down, not closed
-    over, so no frame of a finished or dropped stream is kept alive by a
-    reference cycle."""
+    each with its ties.  The search state, the value index `at` included,
+    is passed down, not closed over, so no frame of a finished or dropped
+    stream is kept alive by a reference cycle."""
     if k == len(flat):
         yield CayleyTable([row[:] for row in t]), len(waiting[k])
         return
     n = len(t)
     r, c = divmod(k, n)
-    row = t[r]
     due = waiting[k]
-    for v in range(n):
-        row[c] = v
-        if _ok_after(t, n, r, c):
-            flat[k] = v
-            parked = _resume(k, flat, waiting) if due else ()
-            if parked is not None:
-                yield from _fill(k + 1, t, flat, waiting)
-                for w in parked:
-                    waiting[w].pop()
-    row[c] = -1
+    for v in _fits(t, at, r, c, range(n)):
+        flat[k] = v
+        parked = _resume(k, flat, waiting) if due else ()
+        if parked is not None:
+            at[v].append((r, c))
+            yield from _fill(k + 1, t, flat, at, waiting)
+            at[v].pop()
+            for w in parked:
+                waiting[w].pop()
 
 
 def enumerate_labeled(n: int) -> Iterator[CayleyTable]:
@@ -194,15 +214,15 @@ def random_table(n: int, rng: random.Random) -> CayleyTable:
     values = list(range(n))
     while True:
         t = [[-1] * n for _ in range(n)]
+        at = [[] for _ in range(n)]
         for k in range(n * n):
             r, c = divmod(k, n)
             rng.shuffle(values)
-            for v in values:
-                t[r][c] = v
-                if _ok_after(t, n, r, c):
-                    break
-            else:
+            v = next(_fits(t, at, r, c, values), None)
+            if v is None:
                 break  # a dead cell: start again
+            t[r][c] = v
+            at[v].append((r, c))
         else:
             return CayleyTable(t)
 

@@ -38,6 +38,40 @@ def grid_is_associative(grid) -> bool:
     return first_associativity_witness(grid) is None
 
 
+def partial_grid_associates(grid) -> bool:
+    """Whether every triple (x, y, z) whose four cells x*y, (x*y)*z, y*z
+    and x*(y*z) are all filled has (x*y)*z == x*(y*z); -1 marks an empty
+    cell."""
+    n = len(grid)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                xy = grid[x][y]
+                yz = grid[y][z]
+                if xy == -1 or yz == -1:
+                    continue
+                lhs = grid[xy][z]
+                rhs = grid[x][yz]
+                if lhs != -1 and rhs != -1 and lhs != rhs:
+                    return False
+    return True
+
+
+def oracle_next_values(grid, k) -> list:
+    """The values v, ascending, for which the grid with v in row-major
+    cell k (empty before) passes `partial_grid_associates`; the grid is
+    left as it was."""
+    n = len(grid)
+    r, c = divmod(k, n)
+    out = []
+    for v in range(n):
+        grid[r][c] = v
+        if partial_grid_associates(grid):
+            out.append(v)
+    grid[r][c] = -1
+    return out
+
+
 @lru_cache(maxsize=None)
 def brute_force_semigroups(n: int) -> tuple:
     """Every associative n x n grid, found by filtering all n^(n*n)

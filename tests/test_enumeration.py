@@ -18,7 +18,7 @@ from finsemi import (
     right_zero,
     validate,
 )
-from finsemi.enumeration import _classes, _orbit, _orbit_keys, _relabelings
+from finsemi.enumeration import _classes, _fits, _orbit, _orbit_keys, _relabelings
 
 import oracles
 
@@ -319,6 +319,67 @@ def test_orbit_sizes_sum_to_labeled_counts():
             assert weight == len(_orbit_keys(rep, "iso")), rep.rows
         assert sum(weight for _, weight in classes) == labeled
         assert sum(weight for _, weight in _classes(n, "iso_anti")) == labeled
+
+
+def _fits_as_oracle(grid, k):
+    """The values that the fill's kernel gives the empty row-major cell k
+    of `grid`, whose cells before k are filled and associate, checked
+    against the oracle's; the grid is left as it was."""
+    n = len(grid)
+    r, c = divmod(k, n)
+    at = [[] for _ in range(n)]
+    for i in range(k):
+        at[grid[i // n][i % n]].append(divmod(i, n))
+    before = [row[:] for row in grid]
+    fits = []
+    for v in _fits(grid, at, r, c, range(n)):
+        assert grid[r][c] == v
+        fits.append(v)
+    assert grid == before
+    assert fits == oracles.oracle_next_values(grid, k), (before, k)
+    return fits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fit_kernel_matches_oracle_on_every_prefix(n):
+    # every row-major prefix whose filled triples associate, found through
+    # the oracle: the prefixes of every labeled table and every dead end
+    grid = [[-1] * n for _ in range(n)]
+    complete = []
+
+    def extend(k):
+        if k == n * n:
+            complete.append(tuple(map(tuple, grid)))
+            return
+        r, c = divmod(k, n)
+        for v in _fits_as_oracle(grid, k):
+            grid[r][c] = v
+            extend(k + 1)
+        grid[r][c] = -1
+
+    extend(0)
+    assert complete == list(oracles.brute_force_semigroups(n))
+
+
+@pytest.mark.parametrize("n, walks", [(4, 300), (5, 200)])
+def test_fit_kernel_matches_oracle_on_sampled_prefixes(n, walks):
+    # seeded walks through the oracle's prefixes: each step puts a random
+    # value that the oracle accepts in the next cell, until a cell that no
+    # value fits or a complete table; the sample holds both ends
+    rng = random.Random(f"fits/{n}")
+    ends = set()
+    for _ in range(walks):
+        grid = [[-1] * n for _ in range(n)]
+        for k in range(n * n):
+            fits = _fits_as_oracle(grid, k)
+            if not fits:
+                ends.add("dead")
+                break
+            grid[k // n][k % n] = rng.choice(fits)
+        else:
+            assert oracles.grid_is_associative(grid)
+            ends.add("complete")
+    assert ends == {"dead", "complete"}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
