@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CayleyTable, validate
+from .core import CayleyTable
 from .relations import BinaryRelation, _kernels
 
 
@@ -125,7 +125,8 @@ def least_semilattice_congruence(s: CayleyTable) -> Congruence:
 
 def quotient(s: CayleyTable, c: Congruence) -> CayleyTable:
     """The quotient table over class indices (ordered by minimal
-    representative), confirmed not to depend on representatives."""
+    representative), confirmed not to depend on representatives, so a
+    homomorphic image: associative, and not scanned again."""
     reps = [cls[0] for cls in c.classes]
     cls_of = c.class_of
     rows = s.rows
@@ -137,5 +138,5 @@ def quotient(s: CayleyTable, c: Congruence) -> CayleyTable:
                 raise NotACongruence(
                     (x, y), "product class depends on the choice of representatives"
                 )
-    return validate(q)
+    return CayleyTable(q)
 

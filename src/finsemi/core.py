@@ -2,13 +2,13 @@
 
 A semigroup on the carrier {0, ..., n-1} is stored as its full n x n
 multiplication table.  Tables are immutable once built; `validate` is the
-entry point for untrusted grids and checks closure and associativity.
-Each table keeps the facts other modules derive from it (equalizer
-kernels, canonical relation, the classifier verdicts of `properties`,
+entry point for untrusted grids and checks closure and associativity;
+tables associative by construction skip it (see `CayleyTable`).  Each
+table keeps the facts other modules derive from it (equalizer kernels,
+canonical relation, the classifier verdicts of `properties`,
 decomposition): `fact` computes one on first use and keeps it as long as
-the table; this module defines no classifier.
-`adjoin_identity` returns a plain table whose fresh identity is the
-last element n.
+the table; this module defines no classifier.  `adjoin_identity` returns
+a plain table whose fresh identity is the last element n.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ class CayleyTable:
     """A finite magma table; rows[i][j] is the product i*j.
 
     The constructor checks only shape and closure.  Associativity is the
-    job of `validate`, which every public constructor in this package
-    goes through.
+    job of `validate`, for user grids, files and zoo tables; transposes,
+    adjoined identities, enumerated tables, `decompose`'s components
+    (closed subsets) and `quotient`s (homomorphic images) skip it.
     """
 
     __slots__ = ("n", "rows", "_facts")

@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .congruence import Congruence, NotACongruence, induced_congruence, quotient
-from .core import CayleyTable, validate
+from .core import CayleyTable
 from .enumeration import _check_order, _classes, _orbit, enumerate_canonical
 from .properties import PropertyProfile, _holds, classify, is_semilattice
 from .relations import (
@@ -76,7 +76,8 @@ def decompose(s: CayleyTable) -> SemilatticeDecomposition:
     Non-quasi-separative input is not rejected: the result records what
     holds (a class not closed under the product appears as None, and the
     semilattice flag may be False).  Class i is closed iff i*i = i in the
-    quotient, which holds the class of every product of two members.
+    quotient, which holds the class of every product of two members; a
+    closed class is a subsemigroup, so its table skips `validate`.
     NotACongruence propagates when the induced equivalence fails
     compatibility, which cannot happen for quasi-separative input.
     """
@@ -89,7 +90,7 @@ def decompose(s: CayleyTable) -> SemilatticeDecomposition:
         if qrows[i][i] == i:
             local = {g: j for j, g in enumerate(cls)}
             sub = [[local[rows[x][y]] for y in cls] for x in cls]
-            components.append(Component(validate(sub), cls))
+            components.append(Component(CayleyTable(sub), cls))
         else:
             components.append(None)
     return SemilatticeDecomposition(rel, cong, q, tuple(components))
@@ -496,17 +497,16 @@ def verify_corpus(
     stream's order.
 
     Why transposing is a symmetry.  Transposing a table T into T' swaps
-    the left kernels L and the right kernels R.  `_canonical` marks every
-    pair on which some L[c] and R[c] differ, so the canonical relation
-    rel is balanced: rel & L[a] = rel & R[a] for every a.  The first half
-    of its definition, that every L[c] and R[c] agree on a pair, is
-    symmetric; on the pairs it keeps, the second half, that each context
-    x -> a*x*b agrees with L[b*a], reads R[b*a] instead on T' (with a and
-    b swapped), which is the same.  So T and T' have the same relation.
-    Balance also makes `induced_congruence`, `is_quasi_cancellative` and
-    the p7 scan read the same masks on T and on T'.  Compatibility is
-    two-sided, so the
-    quotient and the components of T' are the transposes of those of T.
+    the left kernels L and the right kernels R, so the pairs B on which
+    every L[c] and R[c] agree are the same on both, and makes the left
+    translations of T' the right translations of T.  The canonical
+    relation rel is B met with the pull-backs of B along all left, or
+    equally all right, translations (`canonical_relation`), so T and T'
+    have the same relation.  It lies in B, so it is balanced: rel & L[a]
+    = rel & R[a] for every a.  Balance also makes `induced_congruence`,
+    `is_quasi_cancellative` and the p7 scan read the same masks on T and
+    on T'.  Compatibility is two-sided, so the quotient and the
+    components of T' are the transposes of those of T.
     Every classifier the checks read is self-dual; left and right
     cancellativity swap, but no check reads either alone.  For t4,
     `all_satisfied` is symmetric, the diagonal always induces the

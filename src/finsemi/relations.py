@@ -144,24 +144,26 @@ class AdmissibilityReport:
         return self.balanced and self.left_stable and self.right_stable
 
 
+def _pull_back(rel_rows, t) -> list[int]:
+    """For each x, the mask of all y with (t[x], t[y]) in rel."""
+    reached = {rel_rows[v] for v in t}
+    pulled = {r: sum(1 << y for y, v in enumerate(t) if r >> v & 1) for r in reached}
+    return [pulled[rel_rows[v]] for v in t]
+
+
 def _first_unstable(rows, rel_rows, kernels, translations, on_left: bool):
     """First (a, b, x, y), scanning a, b, x, y ascending, with (x, y) in
     rel and in kernels[a*b] but its image under t = translations[b] (on
     the left) or translations[a] (on the right) not in rel.
 
     bad[i][x] is the mask of all y with (x, y) in rel and (t[x], t[y])
-    not in rel for t = translations[i], read through the pull-back of
-    rel's row t[x], built once per distinct row.  So (a, b) fails at
-    (x, y) exactly when y is in bad[i][x] & kernels[a*b][x], and only
+    not in rel for t = translations[i] (`_pull_back`).  So (a, b) fails
+    at (x, y) exactly when y is in bad[i][x] & kernels[a*b][x], and only
     the translations with some bad pair need the (a, b, x) scan."""
     n = len(rows)
     bad = []
     for t in translations:
-        pulled = {
-            r: sum(1 << y for y in range(n) if r >> t[y] & 1)
-            for r in {rel_rows[v] for v in t}
-        }
-        bad.append([m & ~pulled[rel_rows[v]] for m, v in zip(rel_rows, t)])
+        bad.append([m & ~p for m, p in zip(rel_rows, _pull_back(rel_rows, t))])
     failing = [any(masks) for masks in bad]
     if not any(failing):
         return None
@@ -206,7 +208,7 @@ def context_equivalent(mul, elems, x, y) -> bool:
     a*x*b = a*y*b, b*a*x = b*a*y, x*b*a = y*b*a hold or fail together,
     with `mul` an associative product.  With the carrier plus an
     adjoined identity as `elems`, this is the pairwise definition of
-    `canonical_relation`, which is built from kernels instead."""
+    `canonical_relation`, which is built from pull-backs instead."""
     for a in elems:
         ax, ay = mul(a, x), mul(a, y)
         for b in elems:
@@ -228,37 +230,33 @@ def canonical_relation(s: CayleyTable) -> BinaryRelation:
     reflexive and symmetric, and always balanced; it is the relation the
     decomposition module feeds to the induced congruence.
 
-    With L[c], R[c] the kernels of c, that is: (x, y) in L[c] <=> (x, y)
-    in R[c] for every c in S, and a*x*b = a*y*b <=> (x, y) in L[b*a] for
-    every a, b in S; contexts using the identity give the first half.
-    Built once per table as the fact `s.fact(_canonical)`, which marks
-    the y that fail for each x, one kernel of x -> a*x*b per context,
-    until no y != x is left.  A context's marks depend only on the image
-    of x -> a*x*b and on L[b*a], so each distinct pair of them is applied
-    once; the marks only accumulate, so the order does not matter.
+    With L[c], R[c] the kernels of c, the identity contexts say that
+    (x, y) is in B, the pairs on which every L[c] and R[c] agree.  On B,
+    x*b*a = y*b*a says (x, y) in R[b*a] = L[b*a], the same as b*a*x =
+    b*a*y <=> (ax, ay) in L[b], and a*x*b = a*y*b <=> (ax, ay) in R[b];
+    so the rest say that (ax, ay) is in B for every a in S: the relation
+    is B met with its pull-backs along all left translations x -> a*x.
+    Mirrored, a*x*b = a*y*b <=> (xb, yb) in L[a] and x*b*a = y*b*a <=>
+    (xb, yb) in R[a]: it is also B met with its pull-backs along all
+    right translations x -> x*b.  Built once per table as the fact
+    `s.fact(_canonical)`, one pull-back per distinct row, until the meet
+    is full (B is full on every commutative table) or the diagonal.
     """
     return s.fact(_canonical)
 
 
 def _canonical(s: CayleyTable) -> BinaryRelation:
-    n, rows = s.n, s.rows
+    n = s.n
     left, right = s.fact(_kernels)
-    full = (1 << n) - 1
-    bad = [0] * n
+    full, diagonal = [(1 << n) - 1] * n, [1 << x for x in range(n)]
+    rel = balanced = full
     for lc, rc in dict.fromkeys(zip(left, right)):
-        bad = [m | l ^ r for m, l, r in zip(bad, lc, rc)]
-    cols = list(zip(*rows))
-    seen = set()
-    for a, b in itertools.product(range(n), repeat=2):
-        context = (tuple(map(cols[b].__getitem__, rows[a])), left[rows[b][a]])
-        if context in seen:
-            continue
-        seen.add(context)
-        image, lba = context
-        bad = [m | kx ^ lx for m, kx, lx in zip(bad, _kernel(image), lba)]
-        if all(m | 1 << x == full for x, m in enumerate(bad)):
+        rel = balanced = [m & ~(l ^ r) for m, l, r in zip(balanced, lc, rc)]
+    for t in dict.fromkeys(s.rows):
+        if rel in (full, diagonal):
             break
-    return BinaryRelation(n, [full & ~m for m in bad])
+        rel = list(map(int.__and__, rel, _pull_back(balanced, t)))
+    return BinaryRelation(n, rel)
 
 
 def parse_relation(text: str, n: int) -> BinaryRelation:

@@ -125,6 +125,43 @@ def naive_canonical_relation(s: CayleyTable) -> set:
     return pairs
 
 
+def balanced_pairs(s: CayleyTable) -> set:
+    """The pairs (x, y) on which every left and right equalizer agree:
+    for every c, c*x = c*y exactly when x*c = y*c."""
+    n, rows = s.n, s.rows
+    return {
+        (x, y)
+        for x in range(n)
+        for y in range(n)
+        if all((rows[c][x] == rows[c][y]) == (rows[x][c] == rows[y][c]) for c in range(n))
+    }
+
+
+def right_translation_relation(s: CayleyTable) -> set:
+    """The balanced pairs (x, y) whose images (x*b, y*b) are balanced for
+    every b: the balanced pairs met with their pull-back along every
+    right translation."""
+    balanced = balanced_pairs(s)
+    rows = s.rows
+    return {
+        (x, y)
+        for x, y in balanced
+        if all((rows[x][b], rows[y][b]) in balanced for b in range(s.n))
+    }
+
+
+def noncommutative_zoo() -> list:
+    """Noncommutative tables of 8 to 16 elements on which the canonical
+    relation is strictly smaller than the balanced pairs."""
+    return [
+        rectangular_band(2, 4),
+        rectangular_band(3, 4),
+        direct_product(rectangular_band(2, 2), cyclic_group(3)),
+        direct_product(rectangular_band(2, 2), monogenic(2, 2)),
+        direct_product(rectangular_band(2, 2), null_semigroup(4)),
+    ]
+
+
 def left_kernel_pairs(s: CayleyTable, a: int) -> set:
     n = s.n
     return {(x, y) for x in range(n) for y in range(n) if s.rows[a][x] == s.rows[a][y]}

@@ -192,6 +192,22 @@ def test_canonical_relation_examples():
 def test_canonical_relation_matches_naive_oracle():
     for s in oracles.oracle_tables():
         assert pairs_set(canonical_relation(s)) == oracles.naive_canonical_relation(s)
+    # every order-5 class and the larger noncommutative tables, each with
+    # its transpose
+    tables = list(enumerate_canonical(5, "iso")) + oracles.noncommutative_zoo()
+    for t in tables:
+        for s in (t, t.transpose()):
+            got = pairs_set(canonical_relation(s))
+            assert got == oracles.naive_canonical_relation(s), s.rows
+
+
+def test_canonical_relation_matches_right_translation_form():
+    # the library pulls the balanced pairs back along left translations;
+    # the mirrored form along right translations gives the same relation
+    for s in oracles.corpus_up_to(4):
+        assert pairs_set(canonical_relation(s)) == oracles.right_translation_relation(
+            s
+        ), s.rows
 
 
 def test_context_equivalent_matches_naive_oracle():
