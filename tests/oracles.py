@@ -133,7 +133,9 @@ def balanced_pairs(s: CayleyTable) -> set:
         (x, y)
         for x in range(n)
         for y in range(n)
-        if all((rows[c][x] == rows[c][y]) == (rows[x][c] == rows[y][c]) for c in range(n))
+        if all(
+            (rows[c][x] == rows[c][y]) == (rows[x][c] == rows[y][c]) for c in range(n)
+        )
     }
 
 

@@ -205,9 +205,8 @@ def test_canonical_relation_matches_right_translation_form():
     # the library pulls the balanced pairs back along left translations;
     # the mirrored form along right translations gives the same relation
     for s in oracles.corpus_up_to(4):
-        assert pairs_set(canonical_relation(s)) == oracles.right_translation_relation(
-            s
-        ), s.rows
+        want = oracles.right_translation_relation(s)
+        assert pairs_set(canonical_relation(s)) == want, s.rows
 
 
 def test_context_equivalent_matches_naive_oracle():
