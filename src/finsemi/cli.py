@@ -93,6 +93,17 @@ def _zoo_table(name: str, params: list[int]) -> CayleyTable:
     return ctor(*params)
 
 
+def _read_ascii(path: str) -> str:
+    """The text of a table or relation file; both formats are ASCII."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        bad = f"byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        raise FormatError(f"{path}: {bad} is not ASCII") from None
+
+
 def load_table(spec: str) -> CayleyTable:
     """Resolve a table argument: '-' for stdin, 'zoo:<name><params>' for
     a built-in family, anything else as a file path."""
@@ -107,8 +118,7 @@ def load_table(spec: str) -> CayleyTable:
             )
         name, params = m.group(1), m.group(2)
         return _zoo_table(name, [int(p) for p in params.split(",")] if params else [])
-    with open(spec, "r", encoding="ascii") as fh:
-        return parse_table(fh.read())
+    return parse_table(_read_ascii(spec))
 
 
 def cmd_analyze(args) -> int:
@@ -232,8 +242,7 @@ def cmd_omega(args) -> int:
         rel, source = BinaryRelation.full(s.n), "full"
     elif spec.startswith("file:"):
         path = spec[len("file:") :]
-        with open(path, "r", encoding="ascii") as fh:
-            rel, source = parse_relation(fh.read(), s.n), path
+        rel, source = parse_relation(_read_ascii(path), s.n), path
     else:
         raise ValueError(
             f"bad relation {spec!r}: use canonical, diagonal, full, or file:<path>"

@@ -6,9 +6,10 @@ entry point for untrusted grids and checks closure and associativity;
 tables associative by construction skip it (see `CayleyTable`).  Each
 table keeps the facts other modules derive from it (equalizer kernels,
 canonical relation, the classifier verdicts of `properties`,
-decomposition): `fact` computes one on first use and keeps it as long as
-the table; this module defines no classifier.  `adjoin_identity` returns
-a plain table whose fresh identity is the last element n.
+decomposition), each under the function that computes it: `fact`
+computes one on first use and keeps it as long as the table; this module
+defines no classifier.  `adjoin_identity` returns a plain table whose
+fresh identity is the last element n.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ class CayleyTable:
         self._facts = {}
 
     def fact(self, compute):
-        """`compute(self)`, computed on first use and kept with the table."""
+        """`compute(self)`, computed on first use and kept with the table,
+        keyed by `compute`: each reader names the function that computes
+        the fact.  A computation that raises stores nothing."""
         if compute not in self._facts:
             self._facts[compute] = compute(self)
         return self._facts[compute]

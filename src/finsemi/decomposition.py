@@ -5,7 +5,7 @@ congruence, quotient, and per-class component tables.  The verify_*
 functions each check one structural claim on a single table and report
 verified / violated / not-applicable with re-checkable witnesses.  They
 read the decomposition and the classifier verdicts as facts of the table
-(`CayleyTable.fact`), so each is computed once per table, a component's
+(`s.fact(decompose)`), so each is computed once per table, a component's
 once per component table.  Corpus aggregation and the open counterexample
 search live here too: `verify_corpus` reports on every labeled table of
 an order from one table per isomorphism-and-mirror class, each count
@@ -29,7 +29,6 @@ from .enumeration import _check_order, _classes, _orbit, enumerate_canonical
 from .properties import PropertyProfile, _holds, classify, is_semilattice
 from .relations import (
     BinaryRelation,
-    _canonical,
     _kernels,
     _low_bit,
     canonical_relation,
@@ -79,9 +78,10 @@ def decompose(s: CayleyTable) -> SemilatticeDecomposition:
     quotient, which holds the class of every product of two members; a
     closed class is a subsemigroup, so its table skips `validate`.
     NotACongruence propagates when the induced equivalence fails
-    compatibility, which cannot happen for quasi-separative input.
+    compatibility, which cannot happen for quasi-separative input.  Each
+    call decomposes afresh; the checks read the fact `s.fact(decompose)`.
     """
-    rel = canonical_relation(s)
+    rel = s.fact(canonical_relation)
     cong = induced_congruence(s, rel)
     q = quotient(s, cong)
     rows, qrows = s.rows, q.rows
@@ -94,23 +94,6 @@ def decompose(s: CayleyTable) -> SemilatticeDecomposition:
         else:
             components.append(None)
     return SemilatticeDecomposition(rel, cong, q, tuple(components))
-
-
-def _decomposed(s: CayleyTable):
-    """`decompose(s)`, or the NotACongruence it raised."""
-    try:
-        return decompose(s)
-    except NotACongruence as exc:
-        return exc
-
-
-def _decomposition(s: CayleyTable) -> SemilatticeDecomposition:
-    """The table's decomposition fact; raises the NotACongruence that
-    `decompose` raised."""
-    d = s.fact(_decomposed)
-    if isinstance(d, NotACongruence):
-        raise d
-    return d
 
 
 @dataclass(frozen=True)
@@ -138,10 +121,11 @@ def _implication(check: str, s: CayleyTable, premises, key: str) -> Verification
 
 def admissible_candidates(s: CayleyTable) -> list[tuple[str, BinaryRelation]]:
     """Relations to feed the congruence construction: the diagonal
-    unconditionally, the canonical and full relations when they pass the
-    admissibility conditions; the canonical one is the table's shared one."""
+    unconditionally, which induces the universal congruence (one class),
+    the canonical and full relations when they pass the admissibility
+    conditions; the canonical one is the table's shared one."""
     out = [("diagonal", BinaryRelation.diagonal(s.n))]
-    rel = s.fact(_canonical)
+    rel = s.fact(canonical_relation)
     if check_admissibility(s, rel).all_satisfied:
         out.append(("canonical", rel))
     full = BinaryRelation.full(s.n)
@@ -161,8 +145,8 @@ def verify_congruence_construction(s: CayleyTable) -> VerificationReport:
     witnesses = []
     for name, rel in candidates:
         try:
-            if rel == s.fact(_canonical):
-                _decomposition(s)
+            if rel == s.fact(canonical_relation):
+                s.fact(decompose)
             else:
                 induced_congruence(s, rel)
         except NotACongruence as exc:
@@ -180,7 +164,7 @@ def _component_check(
     unclosed class, a non-congruence and, with `semilattice`, a quotient
     that is no semilattice are violations too."""
     try:
-        d = _decomposition(s)
+        d = s.fact(decompose)
     except NotACongruence as exc:
         return _report(
             check_id, "violated", [("not_a_congruence", exc.witness)], applicable=1
@@ -237,7 +221,7 @@ def verify_class_separation(s: CayleyTable) -> VerificationReport:
     diagonal."""
     if not _holds(s, "quasi_separative")[0]:
         return _report("p7", "not-applicable", skipped=1)
-    d = _decomposition(s)
+    d = s.fact(decompose)
     left, rel = s.fact(_kernels)[0], d.relation.rows
     witnesses = []
     for ci, cls in enumerate(d.congruence.classes):
@@ -510,8 +494,8 @@ def verify_corpus(
     Every classifier the checks read is self-dual; left and right
     cancellativity swap, but no check reads either alone.  For t4,
     `all_satisfied` is symmetric, the diagonal always induces the
-    discrete partition, and the full relation is admissible only when
-    L[a] = R[a] for every a."""
+    universal congruence, one class, since every L[a][x] holds x, and
+    the full relation is admissible only when L[a] = R[a] for every a."""
     classes = [(s.rows, size) for s, size in _classes(n, "iso_anti")]
     return [
         replace(r, witnesses=tuple(sorted(r.witnesses, key=itemgetter(0))))

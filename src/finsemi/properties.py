@@ -30,7 +30,7 @@ from operator import or_
 from typing import Optional
 
 from .core import CayleyTable
-from .relations import _canonical, _kernels, _low_bit
+from .relations import _kernels, _low_bit, canonical_relation
 
 
 def _commutative_with_witness(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
@@ -121,7 +121,7 @@ def is_quasi_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
     equalities hold or fail together for all x, y) and some a has
     a*b = a*c, then the table is not quasi-cancellative."""
     left, _ = s.fact(_kernels)
-    for b, related in enumerate(s.fact(_canonical).rows):
+    for b, related in enumerate(s.fact(canonical_relation).rows):
         m = related & ~(1 << b) & reduce(or_, [la[b] for la in left])
         if m:
             return False, (b, _low_bit(m))

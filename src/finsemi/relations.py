@@ -114,12 +114,12 @@ def _kernels(s: CayleyTable) -> tuple[list[tuple], list[tuple]]:
 
 def left_equalizer(s: CayleyTable, a: int) -> BinaryRelation:
     """Pairs (x, y) with a*x = a*y; the kernel of left translation by a."""
-    return BinaryRelation(s.n, _kernel(s.rows[a]))
+    return BinaryRelation(s.n, s.fact(_kernels)[0][a])
 
 
 def right_equalizer(s: CayleyTable, a: int) -> BinaryRelation:
     """Pairs (x, y) with x*a = y*a; the kernel of right translation by a."""
-    return BinaryRelation(s.n, _kernel([r[a] for r in s.rows]))
+    return BinaryRelation(s.n, s.fact(_kernels)[1][a])
 
 
 @dataclass(frozen=True)
@@ -238,14 +238,11 @@ def canonical_relation(s: CayleyTable) -> BinaryRelation:
     is B met with its pull-backs along all left translations x -> a*x.
     Mirrored, a*x*b = a*y*b <=> (xb, yb) in L[a] and x*b*a = y*b*a <=>
     (xb, yb) in R[a]: it is also B met with its pull-backs along all
-    right translations x -> x*b.  Built once per table as the fact
-    `s.fact(_canonical)`, one pull-back per distinct row, until the meet
-    is full (B is full on every commutative table) or the diagonal.
+    right translations x -> x*b.  Built from one pull-back per distinct
+    row, until the meet is full (B is full on every commutative table)
+    or the diagonal; afresh on each call, once per table as the fact
+    `s.fact(canonical_relation)`.
     """
-    return s.fact(_canonical)
-
-
-def _canonical(s: CayleyTable) -> BinaryRelation:
     n = s.n
     left, right = s.fact(_kernels)
     full, diagonal = [(1 << n) - 1] * n, [1 << x for x in range(n)]

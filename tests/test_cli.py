@@ -125,6 +125,19 @@ def test_analyze_non_associative_file_exits_2(tmp_path, capsys):
     assert "(x, y, z)" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "{path}"], ["omega", "zoo:null:2", "--relation", "file:{path}"]],
+)
+def test_non_ascii_file_exits_2_naming_path_and_offset(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"2\n0 0\n1 \xff\n")
+    code, out, err = run_cli(capsys, *(a.format(path=bad) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: byte 0xff at offset 8 is not ASCII\n"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "analyze", "/no/such/file")
     assert code == 2

@@ -388,6 +388,38 @@ def test_run_checks_decomposes_each_table_once_per_call(monkeypatch):
     assert Counter(calls) == first + first
 
 
+def test_run_checks_builds_kernels_and_canonical_relation_once_per_table(monkeypatch):
+    import finsemi.congruence as congruence
+    import finsemi.decomposition as decomposition
+    import finsemi.properties as properties
+    import finsemi.relations as relations
+
+    built = {"_kernels": Counter(), "canonical_relation": Counter()}
+    counted = []  # keeps every counted table alive, so ids stay distinct
+    for name, modules in (
+        ("_kernels", (relations, congruence, properties, decomposition)),
+        ("canonical_relation", (properties, decomposition)),
+    ):
+        def counting(s, name=name, original=getattr(relations, name)):
+            built[name][id(s)] += 1
+            counted.append(s)
+            return original(s)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counting)
+    tables = list(oracles.labeled_corpus(3))
+    run_checks(tables, CHECKS)
+    first = {name: sum(c.values()) for name, c in built.items()}
+    assert all(first.values())
+    assert max(max(c.values()) for c in built.values()) == 1
+    # the facts die with the call: a second run builds them again, once each
+    run_checks(tables, CHECKS)
+    assert {name: sum(c.values()) for name, c in built.items()} == {
+        name: 2 * k for name, k in first.items()
+    }
+    assert max(max(c.values()) for c in built.values()) == 1
+
+
 def test_run_checks_induces_each_congruence_once(monkeypatch):
     import finsemi.decomposition as decomposition
 
