@@ -49,6 +49,22 @@ def test_fact_is_computed_once_per_table():
     assert len(computed) == 2 and computed[1] is twin
 
 
+def test_fact_that_raises_is_not_stored():
+    calls = []
+
+    def compute(s):
+        calls.append(s)
+        if len(calls) == 1:
+            raise ValueError("first attempt")
+        return s.n
+
+    s = validate(L2)
+    with pytest.raises(ValueError):
+        s.fact(compute)
+    assert s.fact(compute) == 2 and s.fact(compute) == 2
+    assert calls == [s, s]
+
+
 def test_validate_rejects_out_of_range():
     with pytest.raises(OutOfRangeEntry) as exc:
         validate([[0, 2], [1, 1]])
