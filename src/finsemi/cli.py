@@ -93,22 +93,31 @@ def _zoo_table(name: str, params: list[int]) -> CayleyTable:
     return ctor(*params)
 
 
-def _read_ascii(path: str) -> str:
-    """The text of a table or relation file; both formats are ASCII."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _ascii(data: bytes, name: str) -> str:
+    """The text of a table or relation input; both formats are ASCII."""
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
         bad = f"byte 0x{data[exc.start]:02x} at offset {exc.start}"
-        raise FormatError(f"{path}: {bad} is not ASCII") from None
+        raise FormatError(f"{name}: {bad} is not ASCII") from None
+
+
+def _read_ascii(path: str) -> str:
+    with open(path, "rb") as fh:
+        return _ascii(fh.read(), path)
 
 
 def load_table(spec: str) -> CayleyTable:
     """Resolve a table argument: '-' for stdin, 'zoo:<name><params>' for
     a built-in family, anything else as a file path."""
     if spec == "-":
-        return parse_table(sys.stdin.read())
+        # sys.stdin is None when descriptor 0 is closed; encoding the text
+        # back hands the bytes read, undecodable ones included, to the
+        # ASCII check that a file's bytes get
+        if sys.stdin is None:
+            raise OSError("<stdin>: standard input is closed")
+        data = sys.stdin.read().encode("utf-8", "surrogateescape")
+        return parse_table(_ascii(data, "<stdin>"))
     if spec.startswith("zoo:"):
         m = _ZOO_SPEC.match(spec)
         if not m:

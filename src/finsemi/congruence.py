@@ -79,11 +79,14 @@ def least_semilattice_congruence(s: CayleyTable) -> Congruence:
     """The least congruence whose quotient is a semilattice (Tamura's eta):
     the congruence closure of all pairs (a, a*a) and (a*b, b*a).
 
-    Union-find joins the generating pairs, then every element x and its
-    class root r have their products c*x, c*r and x*c, r*c joined until
-    nothing changes; at that point related elements stay related under
-    multiplication on either side.  Classes are ordered by least member,
-    as in `induced_congruence`.
+    A worklist starts with the generating pairs.  A pair popped whose
+    classes differ joins them under the smaller root, so each root is its
+    class's least member, and pushes the two roots' translates x*c, y*c
+    and c*x, c*y for every c.  Once the list is empty, every joined pair's
+    translates are joined, so related elements stay related under
+    multiplication on either side; each join is forced by the generating
+    pairs, so no smaller congruence holds them.  Classes are ordered by
+    least member, as in `induced_congruence`.
     """
     n, rows = s.n, s.rows
     parent = list(range(n))
@@ -94,28 +97,14 @@ def least_semilattice_congruence(s: CayleyTable) -> Congruence:
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        # the least member stays the root, so roots order the classes
-        parent[max(rx, ry)] = min(rx, ry)
-        return True
-
-    for a in range(n):
-        union(a, rows[a][a])
-        for b in range(a + 1, n):
-            union(rows[a][b], rows[b][a])
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            r = find(x)
-            if r == x:
-                continue
-            for c in range(n):
-                changed |= union(rows[c][x], rows[c][r])
-                changed |= union(rows[x][c], rows[r][c])
+    pending = [(a, rows[a][a]) for a in range(n)]
+    pending += [(rows[a][b], rows[b][a]) for a in range(n) for b in range(a + 1, n)]
+    while pending:
+        x, y = sorted(map(find, pending.pop()))
+        if x < y:
+            parent[y] = x
+            pending.extend(zip(rows[x], rows[y]))
+            pending.extend((r[x], r[y]) for r in rows)
     groups: dict[int, list[int]] = {}
     for x in range(n):
         groups.setdefault(find(x), []).append(x)

@@ -14,6 +14,7 @@ fresh identity is the last element n.
 
 from __future__ import annotations
 
+import re
 from operator import itemgetter
 from typing import Iterable
 
@@ -130,12 +131,24 @@ def adjoin_identity(s: CayleyTable) -> CayleyTable:
     return CayleyTable(rows)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(token: str) -> int:
+    """`int(token)` for an ASCII decimal token only: `int` also reads
+    '1_0' and non-ASCII digits.  Raises ValueError with `int`'s message."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
+
+
 def parse_table(text: str) -> CayleyTable:
     """Parse the table text format.
 
     Lines whose first non-blank character is '#' are comments.  The first
     token is the carrier size n, followed by exactly n*n entries in
-    row-major order.  Anything after the last entry is an error.
+    row-major order, each token `[+-]?[0-9]+`.  Anything after the last
+    entry is an error.
     """
     tokens: list[str] = []
     for line in text.splitlines():
@@ -145,7 +158,7 @@ def parse_table(text: str) -> CayleyTable:
     if not tokens:
         raise FormatError("no table data found")
     try:
-        n = int(tokens[0])
+        n = _integer(tokens[0])
     except ValueError:
         raise FormatError(f"carrier size {tokens[0]!r} is not an integer") from None
     if n < 1:
@@ -154,7 +167,7 @@ def parse_table(text: str) -> CayleyTable:
     if len(entries) != n * n:
         raise FormatError(f"expected {n * n} entries for n={n}, got {len(entries)}")
     try:
-        values = [int(t) for t in entries]
+        values = [_integer(t) for t in entries]
     except ValueError as exc:
         raise FormatError(f"non-integer table entry: {exc}") from None
     return validate([values[i * n : (i + 1) * n] for i in range(n)])

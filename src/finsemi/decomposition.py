@@ -104,19 +104,28 @@ class VerificationReport:
     counts: tuple = ()  # sorted ((name, value), ...)
 
 
-def _report(check: str, verdict: str, witnesses=(), **counts) -> VerificationReport:
+def _report(check: str, witnesses=(), **counts) -> VerificationReport:
+    """The report of a check whose premises hold: violated when it has a
+    witness, verified otherwise, and counted as applicable."""
+    counts["applicable"] = 1
+    verdict = "violated" if witnesses else "verified"
     return VerificationReport(
         check, verdict, tuple(witnesses), tuple(sorted(counts.items()))
     )
 
 
+def _skipped(check: str, **counts) -> VerificationReport:
+    """The report of a check whose premises fail, counted as skipped."""
+    counts["skipped"] = 1
+    return VerificationReport(check, "not-applicable", (), tuple(sorted(counts.items())))
+
+
 def _implication(check: str, s: CayleyTable, premises, key: str) -> VerificationReport:
     """Premise classifiers all holding must give classifier `key`."""
     if not all(_holds(s, p)[0] for p in premises):
-        return _report(check, "not-applicable", skipped=1)
+        return _skipped(check)
     ok, w = _holds(s, key)
-    witnesses = [] if ok else [(f"not_{key}", w)]
-    return _report(check, "verified" if ok else "violated", witnesses, applicable=1)
+    return _report(check, [] if ok else [(f"not_{key}", w)])
 
 
 def admissible_candidates(s: CayleyTable) -> list[tuple[str, BinaryRelation]]:
@@ -151,10 +160,7 @@ def verify_congruence_construction(s: CayleyTable) -> VerificationReport:
                 induced_congruence(s, rel)
         except NotACongruence as exc:
             witnesses.append((name, exc.witness, exc.detail))
-    verdict = "violated" if witnesses else "verified"
-    return _report(
-        "t4", verdict, witnesses, applicable=1, relations_checked=len(candidates)
-    )
+    return _report("t4", witnesses, relations_checked=len(candidates))
 
 
 def _component_check(
@@ -166,9 +172,7 @@ def _component_check(
     try:
         d = s.fact(decompose)
     except NotACongruence as exc:
-        return _report(
-            check_id, "violated", [("not_a_congruence", exc.witness)], applicable=1
-        )
+        return _report(check_id, [("not_a_congruence", exc.witness)])
     witnesses = []
     if semilattice and not d.quotient_is_semilattice:
         witnesses.append(("quotient_not_semilattice",))
@@ -180,13 +184,7 @@ def _component_check(
             ok, w = _holds(comp.table, key)
             if not ok:
                 witnesses.append((f"component_not_{key}", idx, w))
-    return _report(
-        check_id,
-        "violated" if witnesses else "verified",
-        witnesses,
-        applicable=1,
-        components=len(d.components),
-    )
+    return _report(check_id, witnesses, components=len(d.components))
 
 
 def _semilattice_of_weakly_cancellative(s: CayleyTable) -> bool:
@@ -209,7 +207,7 @@ def verify_semilattice_decomposition(s: CayleyTable) -> VerificationReport:
     tests/test_acceptance.py criterion 2); those 48 violations are
     pinned by tests/test_decomposition.py::test_known_gap_*."""
     if not _holds(s, "quasi_separative")[0]:
-        return _report("t6", "not-applicable", skipped=1)
+        return _skipped("t6")
     return _component_check(
         s, "t6", ("quasi_separative", "quasi_cancellative"), semilattice=True
     )
@@ -220,7 +218,7 @@ def verify_class_separation(s: CayleyTable) -> VerificationReport:
     any congruence class meets each member's left equalizer only on the
     diagonal."""
     if not _holds(s, "quasi_separative")[0]:
-        return _report("p7", "not-applicable", skipped=1)
+        return _skipped("p7")
     d = s.fact(decompose)
     left, rel = s.fact(_kernels)[0], d.relation.rows
     witnesses = []
@@ -231,13 +229,7 @@ def verify_class_separation(s: CayleyTable) -> VerificationReport:
                 if m := rel[x] & left[a][x] & inside & ~(1 << x):
                     witnesses.append((ci, a, x, _low_bit(m)))
                     break
-    return _report(
-        "p7",
-        "violated" if witnesses else "verified",
-        witnesses,
-        applicable=1,
-        classes=len(d.congruence.classes),
-    )
+    return _report("p7", witnesses, classes=len(d.congruence.classes))
 
 
 def verify_separative_cancellation(s: CayleyTable) -> VerificationReport:
@@ -258,7 +250,7 @@ def verify_balanced_cancellation(s: CayleyTable) -> VerificationReport:
 def verify_cancellative_components(s: CayleyTable) -> VerificationReport:
     """Separative tables must decompose into cancellative components."""
     if not _holds(s, "separative")[0]:
-        return _report("c12", "not-applicable", skipped=1)
+        return _skipped("c12")
     return _component_check(s, "c12", ("cancellative",))
 
 
@@ -266,7 +258,7 @@ def verify_weakly_cancellative_components(s: CayleyTable) -> VerificationReport:
     """Quasi-separative weakly balanced tables must decompose into
     weakly cancellative components."""
     if not (_holds(s, "quasi_separative")[0] and _holds(s, "weakly_balanced")[0]):
-        return _report("c15", "not-applicable", skipped=1)
+        return _skipped("c15")
     return _component_check(s, "c15", ("weakly_cancellative",))
 
 
@@ -274,12 +266,9 @@ def verify_square_descent_claim(s: CayleyTable) -> VerificationReport:
     """Any table that decomposes into a semilattice of weakly
     cancellative components must satisfy square descent."""
     if not _semilattice_of_weakly_cancellative(s):
-        return _report("square-descent", "not-applicable", skipped=1)
+        return _skipped("square-descent")
     ok, w = _holds(s, "square_descent")
-    witnesses = [] if ok else [("square_descent_fails", w)]
-    return _report(
-        "square-descent", "verified" if ok else "violated", witnesses, applicable=1
-    )
+    return _report("square-descent", [] if ok else [("square_descent_fails", w)])
 
 
 # (name, hypothesis, conclusion): each side holds when all its
@@ -303,18 +292,15 @@ def diagram_report(profile: PropertyProfile) -> VerificationReport:
     Implications whose hypothesis fails are skipped, not counted as
     verified."""
     witnesses = []
-    counts = {"tables": 1}
-    applicable = 0
+    counts = {}
     for name, hyp, concl in DIAGRAM_IMPLICATIONS:
         if all(getattr(profile, k) for k in hyp):
-            applicable += 1
             counts[name] = 1
             if not all(getattr(profile, k) for k in concl):
                 witnesses.append((name,))
-    if applicable == 0:
-        return _report("diagram", "not-applicable", skipped=1, tables=1)
-    verdict = "violated" if witnesses else "verified"
-    return _report("diagram", verdict, witnesses, applicable=1, **counts)
+    if not counts:
+        return _skipped("diagram", tables=1)
+    return _report("diagram", witnesses, tables=1, **counts)
 
 
 def verify_table_diagram(s: CayleyTable) -> VerificationReport:
@@ -450,7 +436,7 @@ def _check_all(ids, items: list, workers: int) -> list[VerificationReport]:
     ids = list(ids)
     per_class = _map(functools.partial(_check_class, ids), items, workers)
     if not per_class:
-        return [_report(check_id, "not-applicable") for check_id in ids]
+        return [VerificationReport(check_id, "not-applicable") for check_id in ids]
     return [merge_reports(reports) for reports in zip(*per_class)]
 
 

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .core import CayleyTable, FormatError
+from .core import CayleyTable, FormatError, _integer
 
 
 class BinaryRelation:
@@ -257,7 +257,8 @@ def canonical_relation(s: CayleyTable) -> BinaryRelation:
 
 
 def parse_relation(text: str, n: int) -> BinaryRelation:
-    """Parse the relation text format: one "x y" pair per line, '#' comments."""
+    """Parse the relation text format: one "x y" pair of `[+-]?[0-9]+`
+    tokens per line, '#' comments."""
     pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.strip()
@@ -267,7 +268,7 @@ def parse_relation(text: str, n: int) -> BinaryRelation:
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected two indices, got {body!r}")
         try:
-            x, y = int(parts[0]), int(parts[1])
+            x, y = _integer(parts[0]), _integer(parts[1])
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer pair {body!r}") from None
         if not (0 <= x < n and 0 <= y < n):

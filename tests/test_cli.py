@@ -109,6 +109,27 @@ def test_analyze_stdin(capsys, monkeypatch):
     assert out.startswith("n: 2\n")
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"1\n\xd9\xa0\n", "<stdin>: byte 0xd9 at offset 2 is not ASCII"),
+        (b"2\n0 0\n1 \xff\n", "<stdin>: byte 0xff at offset 8 is not ASCII"),
+        (None, "<stdin>: standard input is closed"),
+    ],
+)
+def test_bad_stdin_exits_2_as_a_bad_file_does(capsys, monkeypatch, data, message):
+    # Python's stdin decodes as UTF-8 with surrogateescape in the C locale,
+    # and is None when descriptor 0 is closed
+    stdin = None
+    if data is not None:
+        stdin = io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors="surrogateescape"
+        )
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run_cli(capsys, "analyze", "-")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_analyze_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.tbl"
     bad.write_text("3\n0 0 0 0 0 0 0 0\n")

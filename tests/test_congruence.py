@@ -177,7 +177,7 @@ def _same_class_pairs(cong: Congruence) -> set:
 def test_least_semilattice_congruence_matches_oracle():
     tables = oracles.corpus_up_to(4)
     assert len(tables) == 3614
-    for s in tables:
+    for s in tables + oracles.zoo_tables() + oracles.noncommutative_zoo():
         eta = least_semilattice_congruence(s)
         assert _same_class_pairs(eta) == oracles.naive_least_semilattice_congruence(s)
         mins = [cls[0] for cls in eta.classes]

@@ -210,6 +210,29 @@ def test_parse_table_rejects_non_integer_and_empty():
         parse_table("2\n0 0\n1 q\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1_0\n", "carrier size '1_0' is not an integer"),
+        ("1\n0_0\n", "non-integer table entry: .*'0_0'"),
+        ("1\n\u0660\n", "non-integer table entry: .*'\u0660'"),
+        ("\uff11\n0\n", "carrier size '\uff11' is not an integer"),
+    ],
+)
+def test_parse_table_reads_only_ascii_decimal_integers(text, message):
+    # int() alone takes underscores and non-ASCII digits
+    with pytest.raises(FormatError, match=message):
+        parse_table(text)
+
+
+def test_parse_table_signed_integers_keep_their_range_checks():
+    assert parse_table("+1\n+0\n").rows == ((0,),)
+    with pytest.raises(OutOfRangeEntry):
+        parse_table("1\n-1\n")
+    with pytest.raises(FormatError, match="carrier size must be >= 1, got -1"):
+        parse_table("-1\n")
+
+
 def test_format_parse_roundtrip():
     for s in (
         validate(L2),

@@ -353,6 +353,27 @@ def test_check_registry_complete():
     }
 
 
+def test_every_report_follows_the_report_rule():
+    # violated exactly when there is a witness; a premise that holds counts
+    # applicable=1, a premise that fails skipped=1 and not-applicable
+    tables = (
+        oracles.corpus_up_to(3)
+        + list(enumerate_canonical(4, "iso_anti"))
+        + oracles.zoo_tables()
+        + oracles.noncommutative_zoo()
+    )
+    for s in tables:
+        for check_id, check in CHECKS.items():
+            r = check(s)
+            counts = dict(r.counts)
+            assert (r.verdict == "violated") == bool(r.witnesses), (check_id, s.rows)
+            assert [counts.get(k) for k in ("applicable", "skipped")] in (
+                [1, None],
+                [None, 1],
+            ), (check_id, s.rows)
+            assert (r.verdict == "not-applicable") == ("skipped" in counts)
+
+
 def test_checks_report_a_non_congruence(no_congruence):
     witness, detail = no_congruence
     for check in (verify_semilattice_decomposition, verify_cancellative_components):

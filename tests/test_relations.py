@@ -290,6 +290,18 @@ def test_relation_parse_errors():
         parse_relation("0 7\n", 3)
 
 
+@pytest.mark.parametrize("line", ["0_0 0\n", "0 1_0\n", "\u0660 0\n"])
+def test_relation_parse_reads_only_ascii_decimal_integers(line):
+    with pytest.raises(FormatError, match="non-integer pair"):
+        parse_relation(line, 11)
+
+
+def test_relation_parse_signed_integers_keep_their_range_check():
+    assert list(parse_relation("+0 +1\n", 2).pairs()) == [(0, 1)]
+    with pytest.raises(FormatError, match=r"pair \(-1, 0\) outside carrier 2"):
+        parse_relation("-1 0\n", 2)
+
+
 def test_relation_constructors_reject_bad_input():
     with pytest.raises(ValueError):
         BinaryRelation.from_pairs(2, [(0, 2)])
