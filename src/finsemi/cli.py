@@ -2,12 +2,17 @@
 
 Exit codes are a stable contract: 0 for success or a fully verified run,
 1 when a verification run found violations or an analysis could not
-complete (non-congruence), 2 for usage and input errors.
+complete (non-congruence), 2 for usage and input errors, and 141
+(128 + SIGPIPE, what a shell reports for a program that signal ends)
+when standard output is closed before the output is written: the reader
+stopped reading, so the command stops there and prints nothing on
+standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -18,6 +23,7 @@ from .core import (
     FormatError,
     NotAssociative,
     OutOfRangeEntry,
+    _integer,
     format_table,
     parse_table,
 )
@@ -72,6 +78,9 @@ _ZOO_MAX_ELEMENTS = 256
 # benchmark's trace tests assert its call counts on `verify --corpus 3`.
 _LABELED_CORPUS_MAX = 3
 
+# The exit code of a command whose standard output was closed early.
+_CLOSED_STDOUT = 141
+
 _ZOO_SPEC = re.compile(r"^zoo:([a-z_]+?):?(\d+(?:,\d+)*)?$")
 
 
@@ -111,12 +120,16 @@ def load_table(spec: str) -> CayleyTable:
     """Resolve a table argument: '-' for stdin, 'zoo:<name><params>' for
     a built-in family, anything else as a file path."""
     if spec == "-":
-        # sys.stdin is None when descriptor 0 is closed; encoding the text
-        # back hands the bytes read, undecodable ones included, to the
-        # ASCII check that a file's bytes get
+        # sys.stdin is None when descriptor 0 is closed.  The bytes read,
+        # undecodable ones included, go to the ASCII check that a file's
+        # bytes get: read raw where the stream has a buffer, so no decoder
+        # fails first, and encoded back from a text-only stream
         if sys.stdin is None:
             raise OSError("<stdin>: standard input is closed")
-        data = sys.stdin.read().encode("utf-8", "surrogateescape")
+        if hasattr(sys.stdin, "buffer"):
+            data = sys.stdin.buffer.read()
+        else:
+            data = sys.stdin.read().encode("utf-8", "surrogateescape")
         return parse_table(_ascii(data, "<stdin>"))
     if spec.startswith("zoo:"):
         m = _ZOO_SPEC.match(spec)
@@ -126,7 +139,9 @@ def load_table(spec: str) -> CayleyTable:
                 f"with name in {', '.join(sorted(_ZOO_FAMILIES))}"
             )
         name, params = m.group(1), m.group(2)
-        return _zoo_table(name, [int(p) for p in params.split(",")] if params else [])
+        return _zoo_table(
+            name, [_integer(p) for p in params.split(",")] if params else []
+        )
     return parse_table(_read_ascii(spec))
 
 
@@ -298,6 +313,15 @@ def cmd_search_converse(args) -> int:
     return 0
 
 
+def _int_arg(token: str) -> int:
+    """The argparse type of the integer arguments: `core._integer`, with
+    the message argparse gives for `int`."""
+    try:
+        return _integer(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finsemi",
@@ -325,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", nargs="?", help="single table to check")
     p.add_argument(
         "--corpus",
-        type=int,
+        type=_int_arg,
         metavar="N",
         help=f"check every labeled table of order N (N <= {MAX_ORDER}); above "
         f"order {_LABELED_CORPUS_MAX}, one table per isomorphism-and-mirror "
@@ -338,12 +362,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="check id: " + ", ".join(CHECK_IDS) + ", t10, or all",
     )
     p.add_argument(
-        "--workers", type=int, default=1, help="processes; one table or class per task"
+        "--workers",
+        type=_int_arg,
+        default=1,
+        help="processes; one table or class per task",
     )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="stream all tables of a given order")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_arg, required=True)
     p.add_argument(
         "--canonical",
         action="store_true",
@@ -372,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zoo", help="emit a built-in table in the text format")
     p.add_argument("name", help=", ".join(sorted(_ZOO_FAMILIES)))
-    p.add_argument("params", type=int, nargs="*")
+    p.add_argument("params", type=_int_arg, nargs="*")
     p.set_defaults(func=cmd_zoo)
 
     p = sub.add_parser(
@@ -380,9 +407,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="look for a quasi-separative, non-weakly-balanced table built "
         "from weakly cancellative components",
     )
-    p.add_argument("--max-order", type=int, required=True)
+    p.add_argument("--max-order", type=_int_arg, required=True)
     p.add_argument(
-        "--workers", type=int, default=1, help="at least 1; the scan runs in one process"
+        "--workers",
+        type=_int_arg,
+        default=1,
+        help="at least 1; the scan runs in one process",
     )
     p.set_defaults(func=cmd_search_converse)
 
@@ -390,6 +420,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        # buffered output meets a closed pipe here at the latest, not in
+        # the flush at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered, and the flush
+        # at exit, to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _CLOSED_STDOUT
+    return code
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -397,6 +443,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # a closed stdout, for `main`: not an input error
     except (
         FormatError,
         OutOfRangeEntry,

@@ -14,6 +14,7 @@ fresh identity is the last element n.
 
 from __future__ import annotations
 
+import functools
 import re
 from operator import itemgetter
 from typing import Iterable
@@ -48,6 +49,11 @@ class CayleyTable:
     job of `validate`, for user grids, files and zoo tables; transposes,
     adjoined identities, enumerated tables, `decompose`'s components
     (closed subsets) and `quotient`s (homomorphic images) skip it.
+    Tables read from byte keys skip the closure check too (`_closed`):
+    the labeled stream, canonical forms and the members of a class.
+    Each key relabels a table that passed the check, so it has that
+    table's n*n entries, each a value below n mapped by a permutation of
+    {0, ..., n-1}, and its rows are tuples of ints in the carrier.
     """
 
     __slots__ = ("n", "rows", "_facts")
@@ -66,6 +72,16 @@ class CayleyTable:
         self.n = n
         self.rows = rows
         self._facts = {}
+
+    @classmethod
+    def _closed(cls, rows: tuple) -> "CayleyTable":
+        """The table of `rows`, a square tuple of int tuples whose entries
+        are already known to lie in the carrier; nothing is checked."""
+        s = cls.__new__(cls)
+        s.n = len(rows)
+        s.rows = rows
+        s._facts = {}
+        return s
 
     def fact(self, compute):
         """`compute(self)`, computed on first use and kept with the table,
@@ -173,8 +189,14 @@ def parse_table(text: str) -> CayleyTable:
     return validate([values[i * n : (i + 1) * n] for i in range(n)])
 
 
+@functools.lru_cache(maxsize=4096)
+def _row_line(row: tuple) -> str:
+    """One row of the text format, each entry printed as an int: a row of
+    bools equals, and so shares a cache entry with, its row of ints.  An
+    order-5 stream has at most 5**5 = 3,125 distinct rows."""
+    return " ".join(map(int.__repr__, row)) + "\n"
+
+
 def format_table(s: CayleyTable) -> str:
     """Serialize a table to the text format; round-trips through parse_table."""
-    lines = [str(s.n)]
-    lines.extend(" ".join(str(v) for v in row) for row in s.rows)
-    return "\n".join(lines) + "\n"
+    return f"{s.n}\n" + "".join(map(_row_line, s.rows))

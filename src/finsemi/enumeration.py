@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import functools
 import random
-from itertools import permutations
+from itertools import chain, permutations, starmap
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .core import CayleyTable
@@ -199,7 +200,7 @@ def enumerate_labeled(n: int) -> Iterator[CayleyTable]:
         keys += _orbit_keys(rep, "iso")
     keys.sort()
     for key in keys:
-        yield CayleyTable(_grid(key, n))
+        yield CayleyTable._closed(_grid(key, n))
 
 
 def random_table(n: int, rng: random.Random) -> CayleyTable:
@@ -252,13 +253,34 @@ def _relabelings(n: int, mode: str) -> tuple:
     return tuple(_each_relabeling(n, mode))
 
 
+def _key_map(perm: tuple, src: tuple) -> tuple:
+    """The relabeling (perm, src) of a flat row-major byte key, as a
+    getter of the source cells and a `bytes.translate` table of the
+    values: `bytes(getter(key)).translate(table)`.  At n = 1 an
+    itemgetter of one index returns the entry, not a 1-tuple, so the
+    getter slices the one-byte key instead."""
+    n = len(perm)
+    getter = itemgetter(*src) if n > 1 else itemgetter(slice(1))
+    return getter, bytes(perm) + bytes(range(n, 256))
+
+
+@functools.cache
+def _key_maps(n: int, mode: str) -> tuple:
+    """`_key_map` of each of `_relabelings(n, mode)`, built once per order
+    and mode."""
+    return tuple(_key_map(perm, src) for perm, src in _relabelings(n, mode))
+
+
 def _relabeled(s: CayleyTable, mode: str) -> list[bytes]:
     """Every relabeling of `s` (and of its transpose in "iso_anti" mode)
     as a flat row-major byte key, repeats included; byte order is the
     tables' lexicographic order, the values being below 256."""
-    n, flat = s.n, [v for row in s.rows for v in row]
-    relabelings = _relabelings(n, mode) if n <= MAX_ORDER else _each_relabeling(n, mode)
-    return [bytes([perm[flat[i]] for i in src]) for perm, src in relabelings]
+    n, key = s.n, bytes(chain.from_iterable(s.rows))
+    if n <= MAX_ORDER:
+        maps = _key_maps(n, mode)
+    else:
+        maps = starmap(_key_map, _each_relabeling(n, mode))
+    return [bytes(getter(key)).translate(table) for getter, table in maps]
 
 
 def _grid(key: bytes, n: int) -> tuple:
@@ -271,7 +293,7 @@ def canonical_form(s: CayleyTable, mode: str = "iso_anti") -> CayleyTable:
     relabelings of `s`; in "iso_anti" mode the minimum also ranges over
     relabelings of the transpose, so a table and its mirror image share
     one canonical form."""
-    return CayleyTable(_grid(min(_relabeled(s, mode)), s.n))
+    return CayleyTable._closed(_grid(min(_relabeled(s, mode)), s.n))
 
 
 def _orbit_keys(rep: CayleyTable, mode: str) -> set[bytes]:

@@ -548,3 +548,12 @@ def automorphism_count(rows) -> int:
     return sum(
         1 for perm in permutations(range(len(rows))) if relabel(rows, perm) == rows
     )
+
+
+def format_table(rows) -> str:
+    """The text format of a table: the size, then each row's entries,
+    each printed on its own and joined by spaces."""
+    lines = [str(len(rows))]
+    for row in rows:
+        lines.append(" ".join(str(v) for v in row))
+    return "\n".join(lines) + "\n"

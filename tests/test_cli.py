@@ -1,9 +1,13 @@
 import functools
 import hashlib
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import finsemi
 from finsemi import PROFILE_KEYS, classify, format_table, parse_table, run_checks
 from finsemi import cli
 from finsemi.cli import load_table, main
@@ -488,3 +492,52 @@ def test_workers_below_one_exit_2(capsys, workers):
 def test_usage_errors_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (("analyze", "zoo:null:\u0663"), "\u0663"),
+        (("zoo", "null", "1_0"), "1_0"),
+        (("enumerate", "--order", "\u0664", "--count-only"), "\u0664"),
+        (("verify", "--corpus", "\u0662"), "\u0662"),
+        (("verify", "zoo:null:2", "--workers", "\u0662"), "\u0662"),
+        (("search-converse-c15", "--max-order", "\u0662"), "\u0662"),
+    ],
+    ids=["zoo-spec", "zoo-params", "order", "corpus", "workers", "max-order"],
+)
+def test_integer_arguments_read_ascii_decimal_tokens_only(capsys, argv, token):
+    # Python's int also reads '1_0' and non-ASCII digits such as Arabic-Indic
+    # three; zoo parameters and integer options do not
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "invalid" in err and repr(token) in err
+
+
+def test_stdin_under_a_strict_decoder_is_read_as_bytes(capsys, monkeypatch):
+    # under PYTHONIOENCODING=utf-8:strict, reading text would fail on 0xff
+    # before the ASCII check; the bytes are read from the stream's buffer
+    stdin = io.TextIOWrapper(
+        io.BytesIO(b"2\n0 0\n1 \xff\n"), encoding="utf-8", errors="strict"
+    )
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run_cli(capsys, "analyze", "-")
+    message = "error: <stdin>: byte 0xff at offset 8 is not ASCII\n"
+    assert (code, out, err) == (2, "", message)
+
+
+def test_closed_stdout_ends_the_output_quietly():
+    # the reader takes the first line and closes the pipe; the rest of the
+    # order-5 stream (about 10 MB, more than any pipe holds) meets it closed
+    src = os.path.dirname(os.path.dirname(finsemi.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "finsemi.cli", "enumerate", "--order", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (first, proc.returncode, err) == (b"5\n", 141, b"")

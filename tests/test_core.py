@@ -1,3 +1,4 @@
+import random
 from functools import reduce
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsemi import (
+    CayleyTable,
     FormatError,
     NotAssociative,
     OutOfRangeEntry,
@@ -16,8 +18,10 @@ from finsemi import (
     left_zero,
     null_semigroup,
     parse_table,
+    rectangular_band,
     validate,
 )
+from finsemi.core import _row_line
 
 import oracles
 
@@ -252,3 +256,32 @@ def test_tables_hashable_and_equal_by_rows():
 
 def test_transpose():
     assert validate(L2).transpose().rows == ((0, 1), (0, 1))
+
+
+def test_format_table_prints_bool_entries_as_ints():
+    # the constructor takes bools as ints; the text is the same whichever
+    # of two equal rows, bools or ints, was printed first
+    bools = CayleyTable([[False, True], [True, False]])
+    ints = CayleyTable([[0, 1], [1, 0]])
+    for first, second in ((bools, ints), (ints, bools)):
+        _row_line.cache_clear()
+        assert format_table(first) == format_table(second) == "2\n0 1\n1 0\n"
+    assert parse_table(format_table(bools)) == ints
+
+
+def test_format_table_matches_per_entry_join():
+    # the large zoo tables, whose entries reach two digits, and more random
+    # closed tables than the row cache holds rows, against each entry
+    # printed and joined on its own
+    tables = [
+        rectangular_band(6, 6),
+        cyclic_group(36),
+        chain_semilattice(28),
+        null_semigroup(28),
+    ]
+    rng = random.Random(5)
+    while len(tables) <= _row_line.cache_info().maxsize:
+        n = rng.randrange(5, 12)
+        tables.append(CayleyTable([rng.choices(range(n), k=n) for _ in range(n)]))
+    for t in tables:
+        assert format_table(t) == oracles.format_table(t.rows)

@@ -18,7 +18,16 @@ from finsemi import (
     right_zero,
     validate,
 )
-from finsemi.enumeration import _classes, _fits, _orbit, _orbit_keys, _relabelings
+from finsemi.decomposition import CHECK_IDS, verify_corpus
+from finsemi.enumeration import (
+    _classes,
+    _each_relabeling,
+    _fits,
+    _orbit,
+    _orbit_keys,
+    _relabeled,
+    _relabelings,
+)
 
 import oracles
 
@@ -432,3 +441,43 @@ def test_streams_leave_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+def _naive_relabeled(s, relabelings):
+    flat = [v for row in s.rows for v in row]
+    return [bytes([perm[flat[i]] for i in src]) for perm, src in relabelings]
+
+
+@pytest.mark.parametrize("mode", ["iso", "iso_anti"])
+def test_relabeled_keys_match_per_cell_relabeling(mode):
+    # the keys relabeled by itemgetter and bytes.translate, against each
+    # cell read through its source and mapped by the permutation, for
+    # every iso class of orders 1 to 4 (order 1 has a one-byte key)
+    for n in (1, 2, 3, 4):
+        for rep in enumerate_canonical(n, "iso"):
+            assert _relabeled(rep, mode) == _naive_relabeled(
+                rep, _relabelings(n, mode)
+            ), (n, rep.rows)
+    # above MAX_ORDER the relabelings are streamed, not cached
+    s = cyclic_group(6)
+    assert _relabeled(s, mode) == _naive_relabeled(s, _each_relabeling(6, mode))
+
+
+def test_labeled_stream_tables_pass_the_checked_constructors():
+    # the labeled stream builds its tables without the closure check; each
+    # equals the table `validate` builds from its rows, entries of type int
+    for n in (1, 2, 3, 4):
+        for s in enumerate_labeled(n):
+            assert validate(s.rows) == s
+            assert all(type(v) is int for row in s.rows for v in row)
+
+
+def test_witnessed_class_members_pass_the_checked_constructor():
+    # the members of each witnessed class are built without the closure
+    # check; every member tagged on a witness of an order-4 report is a
+    # table that `validate` accepts as it is
+    members = {grid for r in verify_corpus(4, CHECK_IDS) for grid, _ in r.witnesses}
+    assert len(members) == 48
+    for grid in members:
+        assert validate(grid).rows == grid
+        assert all(type(v) is int for row in grid for v in row)
