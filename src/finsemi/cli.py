@@ -1,12 +1,12 @@
 """Command-line surface.
 
 Exit codes are a stable contract: 0 for success or a fully verified run,
-1 when a verification run found violations or an analysis could not
-complete (non-congruence), 2 for usage and input errors, and 141
-(128 + SIGPIPE, what a shell reports for a program that signal ends)
-when standard output is closed before the output is written: the reader
-stopped reading, so the command stops there and prints nothing on
-standard error.
+1 when a verification run found violations or `decompose --dot` has no
+semilattice to draw, 2 for usage and input errors, a standard output
+closed at start included, and 141 (128 + SIGPIPE, what a shell reports
+for a program that signal ends) when standard output is closed before
+the output is written: the reader stopped reading, so the command stops
+there and prints nothing on standard error.
 """
 
 from __future__ import annotations
@@ -17,16 +17,8 @@ import re
 import sys
 
 from . import zoo
-from .congruence import NotACongruence, induced_congruence
-from .core import (
-    CayleyTable,
-    FormatError,
-    NotAssociative,
-    OutOfRangeEntry,
-    _integer,
-    format_table,
-    parse_table,
-)
+from .congruence import induced_congruence
+from .core import CayleyTable, FormatError, _integer, format_table, parse_table
 from .decomposition import (
     CHECK_IDS,
     _check_workers,
@@ -40,7 +32,6 @@ from .decomposition import (
 )
 from .enumeration import (
     MAX_ORDER,
-    OrderTooLarge,
     _check_order,
     enumerate_canonical,
     enumerate_labeled,
@@ -81,7 +72,7 @@ _LABELED_CORPUS_MAX = 3
 # The exit code of a command whose standard output was closed early.
 _CLOSED_STDOUT = 141
 
-_ZOO_SPEC = re.compile(r"^zoo:([a-z_]+?):?(\d+(?:,\d+)*)?$")
+_ZOO_SPEC = re.compile(r"zoo:([a-z_]+?):?(\d+(?:,\d+)*)?")
 
 
 def _zoo_table(name: str, params: list[int]) -> CayleyTable:
@@ -132,7 +123,7 @@ def load_table(spec: str) -> CayleyTable:
             data = sys.stdin.read().encode("utf-8", "surrogateescape")
         return parse_table(_ascii(data, "<stdin>"))
     if spec.startswith("zoo:"):
-        m = _ZOO_SPEC.match(spec)
+        m = _ZOO_SPEC.fullmatch(spec)
         if not m:
             raise ValueError(
                 f"bad shorthand {spec!r}; expected zoo:<name>:<p>[,<q>] "
@@ -169,11 +160,7 @@ def _quotient_dot(q: CayleyTable, classes) -> str:
 
 def cmd_decompose(args) -> int:
     s = load_table(args.table)
-    try:
-        d = decompose(s)
-    except NotACongruence as exc:
-        print(f"induced equivalence is not a congruence: {exc}", file=sys.stderr)
-        return 1
+    d = decompose(s)
     if args.dot:
         if not d.quotient_is_semilattice:
             print(
@@ -420,6 +407,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # sys.stdout is None when descriptor 1 is closed at start
+    if sys.stdout is None:
+        print("error: <stdout>: standard output is closed", file=sys.stderr)
+        return 2
     try:
         code = _run(argv)
         # buffered output meets a closed pipe here at the latest, not in
@@ -445,14 +436,7 @@ def _run(argv) -> int:
         return args.func(args)
     except BrokenPipeError:
         raise  # a closed stdout, for `main`: not an input error
-    except (
-        FormatError,
-        OutOfRangeEntry,
-        NotAssociative,
-        OrderTooLarge,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

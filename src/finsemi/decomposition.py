@@ -76,10 +76,10 @@ def decompose(s: CayleyTable) -> SemilatticeDecomposition:
     holds (a class not closed under the product appears as None, and the
     semilattice flag may be False).  Class i is closed iff i*i = i in the
     quotient, which holds the class of every product of two members; a
-    closed class is a subsemigroup, so its table skips `validate`.
-    NotACongruence propagates when the induced equivalence fails
-    compatibility, which cannot happen for quasi-separative input.  Each
-    call decomposes afresh; the checks read the fact `s.fact(decompose)`.
+    closed class is a subsemigroup, so its table skips `validate`.  The
+    canonical relation induces a congruence on every table (the proof is
+    in `canonical_relation`), so this does not raise.  Each call
+    decomposes afresh; the checks read the fact `s.fact(decompose)`.
     """
     rel = s.fact(canonical_relation)
     cong = induced_congruence(s, rel)
@@ -129,14 +129,15 @@ def _implication(check: str, s: CayleyTable, premises, key: str) -> Verification
 
 
 def admissible_candidates(s: CayleyTable) -> list[tuple[str, BinaryRelation]]:
-    """Relations to feed the congruence construction: the diagonal
-    unconditionally, which induces the universal congruence (one class),
-    the canonical and full relations when they pass the admissibility
-    conditions; the canonical one is the table's shared one."""
-    out = [("diagonal", BinaryRelation.diagonal(s.n))]
-    rel = s.fact(canonical_relation)
-    if check_admissibility(s, rel).all_satisfied:
-        out.append(("canonical", rel))
+    """Relations to feed the congruence construction: the diagonal,
+    which induces the universal congruence (one class), and the table's
+    shared canonical relation, both always admissible (the canonical
+    one by the proof in `canonical_relation`), then the full relation
+    when it passes the admissibility conditions."""
+    out = [
+        ("diagonal", BinaryRelation.diagonal(s.n)),
+        ("canonical", s.fact(canonical_relation)),
+    ]
     full = BinaryRelation.full(s.n)
     if check_admissibility(s, full).all_satisfied:
         out.append(("full", full))
@@ -167,12 +168,9 @@ def _component_check(
     s: CayleyTable, check_id: str, keys: Sequence[str], semilattice: bool = False
 ) -> VerificationReport:
     """Every closed component must satisfy the classifiers `keys`; an
-    unclosed class, a non-congruence and, with `semilattice`, a quotient
-    that is no semilattice are violations too."""
-    try:
-        d = s.fact(decompose)
-    except NotACongruence as exc:
-        return _report(check_id, [("not_a_congruence", exc.witness)])
+    unclosed class and, with `semilattice`, a quotient that is no
+    semilattice are violations too."""
+    d = s.fact(decompose)
     witnesses = []
     if semilattice and not d.quotient_is_semilattice:
         witnesses.append(("quotient_not_semilattice",))

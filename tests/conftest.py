@@ -5,10 +5,10 @@ from finsemi import NotACongruence
 
 @pytest.fixture
 def no_congruence(monkeypatch):
-    """Make every congruence that `decompose` and the checks induce fail
-    compatibility; returns the (witness, detail) of the NotACongruence
-    raised.  No table of order <= 5 reaches the non-congruence paths
-    otherwise.  Use fresh tables: a decomposition is a cached fact."""
+    """Make every congruence that check t4 induces fail compatibility;
+    returns the (witness, detail) of the NotACongruence raised.  No
+    table of order <= 5 reaches t4's non-congruence path otherwise.  Use
+    fresh tables: a decomposition is a cached fact."""
     witness, detail = (0, 1, 0), "left multiplication separates related elements"
 
     def refuse(s, rel):

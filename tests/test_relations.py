@@ -11,6 +11,7 @@ from finsemi import (
     cyclic_group,
     enumerate_canonical,
     format_relation,
+    induced_congruence,
     left_equalizer,
     left_zero,
     null_semigroup,
@@ -241,6 +242,23 @@ def test_canonical_relation_reflexive_symmetric():
 def test_canonical_relation_always_balanced():
     for s in oracles.corpus_up_to(3):
         assert check_admissibility(s, canonical_relation(s)).balanced
+
+
+def test_canonical_relation_always_induces_a_congruence():
+    # the proof in the canonical_relation docstring, checked literally:
+    # the relation is closed under translation on both sides and lies in
+    # the balanced pairs, so it is admissible and its induced equivalence
+    # is a congruence on every table
+    for s in oracles.oracle_tables() + list(enumerate_canonical(5, "iso")):
+        rel = canonical_relation(s)
+        pairs = pairs_set(rel)
+        for x, y in pairs:
+            for a in range(s.n):
+                ax, ay, xa, ya = s.mul(a, x), s.mul(a, y), s.mul(x, a), s.mul(y, a)
+                assert (ax, ay) in pairs and (xa, ya) in pairs, (s.rows, x, y, a)
+                assert (ax == ay) == (xa == ya), (s.rows, x, y, a)
+        assert check_admissibility(s, rel).all_satisfied, s.rows
+        induced_congruence(s, rel)
 
 
 def test_canonical_relation_stable_on_quasi_separative():
