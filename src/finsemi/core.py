@@ -49,11 +49,14 @@ class CayleyTable:
     job of `validate`, for user grids, files and zoo tables; transposes,
     adjoined identities, enumerated tables, `decompose`'s components
     (closed subsets) and `quotient`s (homomorphic images) skip it.
-    Tables read from byte keys skip the closure check too (`_closed`):
-    the labeled stream, canonical forms and the members of a class.
-    Each key relabels a table that passed the check, so it has that
+    Every table that `enumeration` gives out skips the closure check too:
+    the fill's complete tables, random draws, the labeled stream,
+    canonical forms and the members of a class.  Each is read from a flat
+    byte key by `enumeration._table`, the one caller of `_closed`.  A key
+    is a complete fill, exhaustive or random, whose cells all hold values
+    below n, or relabels a table that passed the check, so it has that
     table's n*n entries, each a value below n mapped by a permutation of
-    {0, ..., n-1}, and its rows are tuples of ints in the carrier.
+    {0, ..., n-1}; its rows are tuples of ints in the carrier.
     """
 
     __slots__ = ("n", "rows", "_facts")

@@ -397,7 +397,7 @@ def _check_class(ids, item) -> tuple:
     reports = [CHECKS[check_id](s) for check_id in ids]
     others = []
     if size > 1 and any(r.witnesses for r in reports):
-        others = [CayleyTable._closed(m) for m in _orbit(s, "iso_anti")[1:]]
+        others = _orbit(s, "iso_anti")[1:]
     out = []
     for check_id, r in zip(ids, reports):
         witnesses = [(grid, w) for w in r.witnesses]

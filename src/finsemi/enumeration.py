@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import random
-from itertools import chain, permutations, starmap
+from itertools import chain, permutations
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -116,8 +116,8 @@ def _fills(n: int, relabelings) -> Iterator[tuple[CayleyTable, int]]:
     themselves, filled cell by cell in row-major order, each with the
     number of `relabelings` that map it onto itself (its ties).
 
-    `relabelings` lists (perm, src) pairs as `_each_relabeling` builds
-    them, without the identity (so it is empty only for n = 1 in "iso" mode).
+    `relabelings` lists records as `_each_relabeling` builds them,
+    without the identity (so it is empty only for n = 1 in "iso" mode).
     The search is cut as soon as a partial table loses to one: every cell
     that decided the comparison is filled, so each completion loses the
     same way.  A relabeling whose comparison has stopped at position
@@ -134,7 +134,7 @@ def _fills(n: int, relabelings) -> Iterator[tuple[CayleyTable, int]]:
     flat = [-1] * last  # the accepted cells of t in row-major order
     at = [[] for _ in range(n)]  # the accepted cells (x, y) holding each value
     waiting = [[] for _ in range(last + 1)]
-    for perm, src in relabelings:
+    for perm, src, _, _ in relabelings:
         waiting[src[0]].append((perm, src, 0))
     return _fill(0, t, flat, at, waiting)
 
@@ -174,7 +174,7 @@ def _fill(k: int, t, flat, at, waiting) -> Iterator[tuple[CayleyTable, int]]:
     is passed down, not closed over, so no frame of a finished or dropped
     stream is kept alive by a reference cycle."""
     if k == len(flat):
-        yield CayleyTable([row[:] for row in t]), len(waiting[k])
+        yield _table(bytes(flat), len(t)), len(waiting[k])
         return
     n = len(t)
     r, c = divmod(k, n)
@@ -197,10 +197,10 @@ def enumerate_labeled(n: int) -> Iterator[CayleyTable]:
     disjoint, so no repeat is dropped across them."""
     keys = []
     for rep in enumerate_canonical(n, "iso"):
-        keys += _orbit_keys(rep, "iso")
+        keys += set(_relabeled(rep, "iso"))
     keys.sort()
     for key in keys:
-        yield CayleyTable._closed(_grid(key, n))
+        yield _table(key, n)
 
 
 def random_table(n: int, rng: random.Random) -> CayleyTable:
@@ -225,50 +225,42 @@ def random_table(n: int, rng: random.Random) -> CayleyTable:
             t[r][c] = v
             at[v].append((r, c))
         else:
-            return CayleyTable(t)
+            return _table(bytes(chain.from_iterable(t)), n)
 
 
 def _each_relabeling(n: int, mode: str) -> Iterator[tuple]:
-    """Every relabeling of an n-element table as a pair (perm, src), the
-    identity first: position i*n + j of the relabeled table t' holds
-    perm[t[src[i*n + j]]], so t'[i][j] = perm[t[inv[i]][inv[j]]], inv
-    being perm's inverse.  In "iso_anti" mode every relabeling of the
-    transpose follows its permutation's, with source cell (inv[j], inv[i])."""
+    """Every relabeling of an n-element table as a record
+    (perm, src, getter, values), the identity first: position i*n + j of
+    the relabeled table t' holds perm[t[src[i*n + j]]], so
+    t'[i][j] = perm[t[inv[i]][inv[j]]], inv being perm's inverse.  In
+    "iso_anti" mode every relabeling of the transpose follows its
+    permutation's, with source cell (inv[j], inv[i]).  A flat row-major
+    byte key relabels as `bytes(getter(key)).translate(values)`: `getter`
+    reads the source cells and `values` maps each value by perm.  At
+    n = 1 an itemgetter of one index returns the entry, not a 1-tuple, so
+    the getter slices the one-byte key instead."""
     if mode not in ("iso", "iso_anti"):
         raise ValueError(f"mode must be 'iso' or 'iso_anti', got {mode!r}")
     cells = range(n)
+    above = bytes(range(n, 256))
     for perm in permutations(cells):
         inv = sorted(cells, key=perm.__getitem__)
-        src = [inv[i] * n + inv[j] for i in cells for j in cells]
-        yield perm, tuple(src)
+        src = tuple([inv[i] * n + inv[j] for i in cells for j in cells])
+        values = bytes(perm) + above
+        sources = [src]
         if mode == "iso_anti":
-            yield perm, tuple([src[j * n + i] for i in cells for j in cells])
+            sources.append(tuple([src[j * n + i] for i in cells for j in cells]))
+        for source in sources:
+            getter = itemgetter(*source) if n > 1 else itemgetter(slice(1))
+            yield perm, source, getter, values
 
 
 @functools.cache
 def _relabelings(n: int, mode: str) -> tuple:
     """`_each_relabeling(n, mode)`, built once per order and mode.  Only
     orders up to MAX_ORDER are read through this cache; larger ones are
-    streamed, so none of their n! source maps stays resident."""
+    streamed, so none of their n! records stays resident."""
     return tuple(_each_relabeling(n, mode))
-
-
-def _key_map(perm: tuple, src: tuple) -> tuple:
-    """The relabeling (perm, src) of a flat row-major byte key, as a
-    getter of the source cells and a `bytes.translate` table of the
-    values: `bytes(getter(key)).translate(table)`.  At n = 1 an
-    itemgetter of one index returns the entry, not a 1-tuple, so the
-    getter slices the one-byte key instead."""
-    n = len(perm)
-    getter = itemgetter(*src) if n > 1 else itemgetter(slice(1))
-    return getter, bytes(perm) + bytes(range(n, 256))
-
-
-@functools.cache
-def _key_maps(n: int, mode: str) -> tuple:
-    """`_key_map` of each of `_relabelings(n, mode)`, built once per order
-    and mode."""
-    return tuple(_key_map(perm, src) for perm, src in _relabelings(n, mode))
 
 
 def _relabeled(s: CayleyTable, mode: str) -> list[bytes]:
@@ -276,16 +268,16 @@ def _relabeled(s: CayleyTable, mode: str) -> list[bytes]:
     as a flat row-major byte key, repeats included; byte order is the
     tables' lexicographic order, the values being below 256."""
     n, key = s.n, bytes(chain.from_iterable(s.rows))
-    if n <= MAX_ORDER:
-        maps = _key_maps(n, mode)
-    else:
-        maps = starmap(_key_map, _each_relabeling(n, mode))
-    return [bytes(getter(key)).translate(table) for getter, table in maps]
+    records = _relabelings(n, mode) if n <= MAX_ORDER else _each_relabeling(n, mode)
+    return [bytes(getter(key)).translate(values) for _, _, getter, values in records]
 
 
-def _grid(key: bytes, n: int) -> tuple:
-    """The rows of a flat row-major key, as tuples of ints."""
-    return tuple(zip(*[iter(key)] * n))
+def _table(key: bytes, n: int) -> CayleyTable:
+    """The table whose rows are the flat row-major key `key`, read as
+    tuples of ints.  Every table this module gives out is built here,
+    without the closure check: each key is a complete fill or relabels a
+    table that passed the check."""
+    return CayleyTable._closed(tuple(zip(*[iter(key)] * n)))
 
 
 def canonical_form(s: CayleyTable, mode: str = "iso_anti") -> CayleyTable:
@@ -293,23 +285,17 @@ def canonical_form(s: CayleyTable, mode: str = "iso_anti") -> CayleyTable:
     relabelings of `s`; in "iso_anti" mode the minimum also ranges over
     relabelings of the transpose, so a table and its mirror image share
     one canonical form."""
-    return CayleyTable._closed(_grid(min(_relabeled(s, mode)), s.n))
+    return _table(min(_relabeled(s, mode)), s.n)
 
 
-def _orbit_keys(rep: CayleyTable, mode: str) -> set[bytes]:
-    """The distinct labeled tables in the class of `rep`, as byte keys:
-    those isomorphic to `rep`, n! over its automorphism count, and in
+def _orbit(rep: CayleyTable, mode: str) -> list[CayleyTable]:
+    """The distinct labeled tables in the class of `rep`: those
+    isomorphic to `rep`, n! over its automorphism count, and in
     "iso_anti" mode those isomorphic to its transpose too, the union of
     both `iso` orbits (one orbit when `rep` is isomorphic to its
-    transpose)."""
-    return set(_relabeled(rep, mode))
-
-
-def _orbit(rep: CayleyTable, mode: str) -> list[tuple]:
-    """`_orbit_keys(rep, mode)` as row tuples in lexicographic order,
-    which is their order in the labeled stream; a class's canonical form
-    comes first."""
-    return [_grid(key, rep.n) for key in sorted(_orbit_keys(rep, mode))]
+    transpose).  They come in lexicographic order, which is their order
+    in the labeled stream, so a class's canonical form comes first."""
+    return [_table(key, rep.n) for key in sorted(set(_relabeled(rep, mode)))]
 
 
 def _classes(n: int, mode: str) -> Iterator[tuple[CayleyTable, int]]:

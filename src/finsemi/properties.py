@@ -53,13 +53,13 @@ def _band_with_witness(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
 
 def is_separative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
     """Both dual implications: x2=xy and y2=yx force x=y, and the
-    mirrored pair x2=yx and y2=xy force x=y."""
+    mirrored pair x2=yx and y2=xy force x=y.  Each premise is symmetric
+    in x and y, so a pair fails in both orders and the full x != y scan
+    first meets it with x < y: each pair is scanned once, x < y."""
     n, rows = s.n, s.rows
     for x in range(n):
         xx = rows[x][x]
-        for y in range(n):
-            if x == y:
-                continue
+        for y in range(x + 1, n):
             yy = rows[y][y]
             if xx == rows[x][y] and yy == rows[y][x]:
                 return False, (x, y)
@@ -69,12 +69,13 @@ def is_separative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
 
 
 def is_quasi_separative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
-    """x2 = xy = yx = y2 forces x = y."""
+    """x2 = xy = yx = y2 forces x = y.  The premise is symmetric in x and
+    y, so each pair is scanned once, x < y, as in `is_separative`."""
     n, rows = s.n, s.rows
     for x in range(n):
         xx = rows[x][x]
-        for y in range(n):
-            if x != y and xx == rows[x][y] == rows[y][x] == rows[y][y]:
+        for y in range(x + 1, n):
+            if xx == rows[x][y] == rows[y][x] == rows[y][y]:
                 return False, (x, y)
     return True, None
 

@@ -5,9 +5,11 @@ compared and listed, and carries no relation algebra.  The left
 equalizer of an element a relates x and y when a*x = a*y; the right
 equalizer mirrors it.  A relation is *admissible* when it meets both
 equalizers of every element identically and is stable under the two
-translation conditions of `AdmissibilityReport`; admissible relations
-are exactly the ones whose induced equivalence is a congruence (see the
-congruence module).
+translation conditions of `AdmissibilityReport`.  The equivalence an
+admissible relation induces is a congruence (see the congruence module),
+which check t4 confirms.  The converse fails: the full relation on the
+two-element left-zero band is not balanced, yet it induces the one-class
+congruence.
 """
 
 from __future__ import annotations

@@ -324,6 +324,16 @@ def literal_separative(s: CayleyTable) -> tuple:
     return True, None
 
 
+def literal_quasi_separative(s: CayleyTable) -> tuple:
+    """x*x = x*y = y*x = y*y forces x = y; witness (x, y), x != y."""
+    n, rows = s.n, s.rows
+    for x in range(n):
+        for y in range(n):
+            if x != y and rows[x][x] == rows[x][y] == rows[y][x] == rows[y][y]:
+                return False, (x, y)
+    return True, None
+
+
 def direct_product(s: CayleyTable, t: CayleyTable) -> CayleyTable:
     """Componentwise product table; element (i, j) gets index i*t.n + j."""
     n, m = s.n, t.n

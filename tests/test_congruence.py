@@ -7,6 +7,7 @@ from finsemi import (
     admissible_candidates,
     canonical_relation,
     chain_semilattice,
+    check_admissibility,
     cyclic_group,
     induced_congruence,
     is_band,
@@ -51,9 +52,16 @@ def test_induced_congruence_rejects_incompatible_relation():
     assert (x, y, c) == (0, 2, 1)
     # the relation indeed fails admissibility, consistent with the
     # congruence guarantee holding only for admissible relations
-    from finsemi import check_admissibility
-
     assert not check_admissibility(FLIP_FLOP, rel).all_satisfied
+
+
+def test_a_relation_that_is_not_admissible_can_induce_a_congruence():
+    # admissible implies a congruence, but not conversely: the full
+    # relation on the left-zero band of order 2 fails balance, yet every
+    # element meets it identically, giving the one-class congruence
+    full = BinaryRelation.full(2)
+    assert check_admissibility(L2, full).balanced_witness == (0, 0, 1)
+    assert induced_congruence(L2, full).classes == ((0, 1),)
 
 
 def dual_induced_agrees(s, rel) -> bool:
@@ -70,8 +78,6 @@ def test_dual_induced_agrees_examples():
 
 
 def test_dual_induced_agrees_whenever_balanced():
-    from finsemi import check_admissibility
-
     for s in oracles.corpus_up_to(3):
         full = BinaryRelation.full(s.n)
         if check_admissibility(s, full).balanced:

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,8 @@ from finsemi import (
 from finsemi.decomposition import CHECK_IDS, verify_corpus
 from finsemi.enumeration import (
     _classes,
-    _each_relabeling,
     _fits,
     _orbit,
-    _orbit_keys,
     _relabeled,
     _relabelings,
 )
@@ -103,8 +102,6 @@ def test_canonical_counts():
 def test_canonical_counts_iso_mode_against_orbit_oracle():
     # independent count: partition the labeled tables into relabeling
     # orbits by exhausting all permutations
-    from itertools import permutations
-
     for n in (2, 3):
         labeled = set(oracles.brute_force_semigroups(n))
         orbits = 0
@@ -123,8 +120,6 @@ def test_canonical_stream_yields_canonical_representatives():
     # <= every relabeling of itself (and of its transpose in iso_anti
     # mode) built by oracles.relabel; the counts are OEIS A001423 (iso)
     # and A027851 (iso_anti)
-    from itertools import permutations
-
     counts = {"iso": (1, 5, 24, 188), "iso_anti": (1, 4, 18, 126)}
     for n in (1, 2, 3, 4):
         perms = list(permutations(range(n)))
@@ -148,7 +143,6 @@ def test_canonical_counts_order5_against_published_counts():
     # expected values from OEIS, not from the code under test: A001423
     # (iso), A027851 (iso and anti-iso), and A023814 (labeled) through
     # orbit-stabilizer: the class of S holds 5!/|Aut S| labeled tables
-    from itertools import permutations
     from math import factorial
 
     perms = list(permutations(range(5)))
@@ -170,13 +164,13 @@ def test_canonical_stream_builds_only_representatives(monkeypatch, mode, classes
     import finsemi.enumeration as enumeration
 
     built = []
-    table = enumeration.CayleyTable
+    table = enumeration._table
 
-    def counting(rows):
-        built.append(rows)
-        return table(rows)
+    def counting(key, n):
+        built.append(key)
+        return table(key, n)
 
-    monkeypatch.setattr(enumeration, "CayleyTable", counting)
+    monkeypatch.setattr(enumeration, "_table", counting)
     assert sum(1 for _ in enumerate_canonical(4, mode)) == classes
     assert len(built) == classes
 
@@ -261,8 +255,6 @@ def test_order4_stream_is_union_of_canonical_orbits():
     # of reach: the 3492 labeled tables must be exactly the disjoint
     # union of the relabeling-and-transpose orbits of the 126 canonical
     # representatives
-    from itertools import permutations
-
     labeled = {s.rows for s in enumerate_labeled(4)}
     assert len(labeled) == 3492
     covered = set()
@@ -285,7 +277,7 @@ def test_orbit_sizes_match_automorphism_counts():
     for n in (1, 2, 3, 4):
         members = []
         for rep, weight in _classes(n, "iso"):
-            orbit = _orbit(rep, "iso")
+            orbit = [m.rows for m in _orbit(rep, "iso")]
             automorphisms = oracles.automorphism_count(rep.rows)
             assert len(orbit) == weight == math.factorial(n) // automorphisms
             # the representative comes first: `verify_corpus` reuses its
@@ -300,12 +292,10 @@ def test_mirror_orbits_match_class_weights():
     # the transpose: as many as the weight the fill counts for it, in
     # stream order with the representative first, which `verify_corpus`
     # relies on, and the classes partition the labeled stream
-    from itertools import permutations
-
     for n in (1, 2, 3, 4):
         members = []
         for rep, weight in _classes(n, "iso_anti"):
-            orbit = _orbit(rep, "iso_anti")
+            orbit = [m.rows for m in _orbit(rep, "iso_anti")]
             assert len(orbit) == weight
             assert orbit == sorted(orbit) and orbit[0] == rep.rows
             assert set(orbit) == {
@@ -325,7 +315,7 @@ def test_orbit_sizes_sum_to_labeled_counts():
     for n, labeled in ((1, 1), (2, 8), (3, 113), (4, 3492), (5, 183732)):
         classes = list(_classes(n, "iso"))
         for rep, weight in classes:
-            assert weight == len(_orbit_keys(rep, "iso")), rep.rows
+            assert weight == len(_orbit(rep, "iso")), rep.rows
         assert sum(weight for _, weight in classes) == labeled
         assert sum(weight for _, weight in _classes(n, "iso_anti")) == labeled
 
@@ -398,6 +388,7 @@ def test_random_table_is_valid_and_seeded(n):
     for s in tables:
         assert s.n == n
         assert validate([list(r) for r in s.rows]) == s
+        assert all(type(v) is int for row in s.rows for v in row)
         assert oracles.grid_is_associative(s.rows)
     rng2 = random.Random(5)
     assert [random_table(n, rng2) for _ in range(5)] == tables
@@ -443,31 +434,36 @@ def test_streams_leave_no_reference_cycles():
             gc.enable()
 
 
-def _naive_relabeled(s, relabelings):
-    flat = [v for row in s.rows for v in row]
-    return [bytes([perm[flat[i]] for i in src]) for perm, src in relabelings]
+def _naive_relabeled(s, mode):
+    # each relabeling built cell by cell, for every permutation of the
+    # carrier, of the table and then, in iso_anti mode, of its transpose
+    bases = [s.rows] + ([s.transpose().rows] if mode == "iso_anti" else [])
+    return [
+        bytes(v for row in oracles.relabel(base, perm) for v in row)
+        for perm in permutations(range(s.n))
+        for base in bases
+    ]
 
 
 @pytest.mark.parametrize("mode", ["iso", "iso_anti"])
 def test_relabeled_keys_match_per_cell_relabeling(mode):
-    # the keys relabeled by itemgetter and bytes.translate, against each
-    # cell read through its source and mapped by the permutation, for
-    # every iso class of orders 1 to 4 (order 1 has a one-byte key)
+    # the keys relabeled by itemgetter and bytes.translate, against the
+    # oracle's relabeling of each table, for every iso class of orders 1
+    # to 4 (order 1 has a one-byte key)
     for n in (1, 2, 3, 4):
         for rep in enumerate_canonical(n, "iso"):
-            assert _relabeled(rep, mode) == _naive_relabeled(
-                rep, _relabelings(n, mode)
-            ), (n, rep.rows)
+            assert _relabeled(rep, mode) == _naive_relabeled(rep, mode), (n, rep.rows)
     # above MAX_ORDER the relabelings are streamed, not cached
-    s = cyclic_group(6)
-    assert _relabeled(s, mode) == _naive_relabeled(s, _each_relabeling(6, mode))
+    for s in (cyclic_group(6), left_zero(6)):
+        assert _relabeled(s, mode) == _naive_relabeled(s, mode), s.rows
 
 
 def test_labeled_stream_tables_pass_the_checked_constructors():
-    # the labeled stream builds its tables without the closure check; each
-    # equals the table `validate` builds from its rows, entries of type int
+    # the labeled stream and the fill's complete tables are built without
+    # the closure check; each equals the table `validate` builds from its
+    # rows, entries of type int
     for n in (1, 2, 3, 4):
-        for s in enumerate_labeled(n):
+        for s in [*enumerate_labeled(n), *enumerate_canonical(n, "iso")]:
             assert validate(s.rows) == s
             assert all(type(v) is int for row in s.rows for v in row)
 

@@ -277,6 +277,7 @@ def test_quasi_cancellative_matches_naive_oracle():
     "predicate, oracle",
     [
         (is_separative, oracles.literal_separative),
+        (is_quasi_separative, oracles.literal_quasi_separative),
         (is_weakly_cancellative, oracles.literal_weakly_cancellative),
         (is_weakly_balanced, oracles.literal_weakly_balanced),
         (has_square_descent, oracles.literal_square_descent),
@@ -286,6 +287,7 @@ def test_quasi_cancellative_matches_naive_oracle():
     ],
     ids=[
         "separative",
+        "quasi_separative",
         "weakly_cancellative",
         "weakly_balanced",
         "square_descent",
