@@ -21,7 +21,6 @@ from .congruence import induced_congruence
 from .core import CayleyTable, FormatError, _integer, format_table, parse_table
 from .decomposition import (
     CHECK_IDS,
-    _check_workers,
     decompose,
     format_report,
     normalize_check_id,
@@ -30,12 +29,7 @@ from .decomposition import (
     strictness_witnesses,
     verify_corpus,
 )
-from .enumeration import (
-    MAX_ORDER,
-    _check_order,
-    enumerate_canonical,
-    enumerate_labeled,
-)
+from .enumeration import MAX_ORDER, enumerate_canonical, enumerate_labeled
 from .properties import PROFILE_KEYS, _holds, classify, format_profile
 from .relations import (
     BinaryRelation,
@@ -196,7 +190,6 @@ def cmd_verify(args) -> int:
     if args.corpus is not None and args.table is not None:
         raise ValueError("verify takes a table or --corpus, not both")
     if args.corpus is not None:
-        _check_order(args.corpus)
         if args.corpus <= _LABELED_CORPUS_MAX:
             tables = enumerate_labeled(args.corpus)
             reports = run_checks(tables, ids, workers=args.workers)
@@ -217,7 +210,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    _check_order(args.order)
     if args.mode is not None and not args.canonical:
         raise ValueError("--mode applies only with --canonical")
     if args.filter is not None and args.filter not in PROFILE_KEYS:
@@ -283,8 +275,6 @@ def cmd_zoo(args) -> int:
 
 
 def cmd_search_converse(args) -> int:
-    _check_order(args.max_order)
-    _check_workers(args.workers)
     result = search_cor15_converse(args.max_order)
     if result is None:
         print(
@@ -395,12 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "from weakly cancellative components",
     )
     p.add_argument("--max-order", type=_int_arg, required=True)
-    p.add_argument(
-        "--workers",
-        type=_int_arg,
-        default=1,
-        help="at least 1; the scan runs in one process",
-    )
     p.set_defaults(func=cmd_search_converse)
 
     return parser

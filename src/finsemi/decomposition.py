@@ -98,26 +98,34 @@ def decompose(s: CayleyTable) -> SemilatticeDecomposition:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """One check's witnesses and counts, on one table or folded over
+    many.  Its verdict is derived from them: violated when it has a
+    witness, verified when it counts a table that met the check's
+    premises (`applicable`), and not-applicable otherwise."""
+
     check: str
-    verdict: str  # "verified" | "violated" | "not-applicable"
     witnesses: tuple = ()
     counts: tuple = ()  # sorted ((name, value), ...)
 
+    @property
+    def verdict(self) -> str:
+        if self.witnesses:
+            return "violated"
+        if any(k == "applicable" for k, _ in self.counts):
+            return "verified"
+        return "not-applicable"
+
 
 def _report(check: str, witnesses=(), **counts) -> VerificationReport:
-    """The report of a check whose premises hold: violated when it has a
-    witness, verified otherwise, and counted as applicable."""
+    """The report of a check whose premises hold, counted as applicable."""
     counts["applicable"] = 1
-    verdict = "violated" if witnesses else "verified"
-    return VerificationReport(
-        check, verdict, tuple(witnesses), tuple(sorted(counts.items()))
-    )
+    return VerificationReport(check, tuple(witnesses), tuple(sorted(counts.items())))
 
 
 def _skipped(check: str, **counts) -> VerificationReport:
     """The report of a check whose premises fail, counted as skipped."""
     counts["skipped"] = 1
-    return VerificationReport(check, "not-applicable", (), tuple(sorted(counts.items())))
+    return VerificationReport(check, (), tuple(sorted(counts.items())))
 
 
 def _implication(check: str, s: CayleyTable, premises, key: str) -> VerificationReport:
@@ -191,7 +199,7 @@ def _semilattice_of_weakly_cancellative(s: CayleyTable) -> bool:
     report = _component_check(
         s, "square-descent", ("weakly_cancellative",), semilattice=True
     )
-    return report.verdict == "verified"
+    return not report.witnesses
 
 
 def verify_semilattice_decomposition(s: CayleyTable) -> VerificationReport:
@@ -360,22 +368,15 @@ def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
     every witness.  Merging is associative, so any chunking of the corpus
     yields the same result."""
     check = reports[0].check
-    verdict = "not-applicable"
     witnesses: list = []
     counts: dict[str, int] = {}
     for r in reports:
         if r.check != check:
             raise ValueError("cannot merge reports for different checks")
-        if r.verdict == "violated":
-            verdict = "violated"
-        elif r.verdict == "verified" and verdict != "violated":
-            verdict = "verified"
         witnesses.extend(r.witnesses)
         for k, v in r.counts:
             counts[k] = counts.get(k, 0) + v
-    return VerificationReport(
-        check, verdict, tuple(witnesses), tuple(sorted(counts.items()))
-    )
+    return VerificationReport(check, tuple(witnesses), tuple(sorted(counts.items())))
 
 
 def _check_class(ids, item) -> tuple:
@@ -404,20 +405,16 @@ def _check_class(ids, item) -> tuple:
         for m in others if witnesses else ():
             witnesses.extend((m.rows, w) for w in CHECKS[check_id](m).witnesses)
         counts = tuple((k, v * size) for k, v in r.counts)
-        out.append(VerificationReport(r.check, r.verdict, tuple(witnesses), counts))
+        out.append(VerificationReport(r.check, tuple(witnesses), counts))
     return tuple(out)
-
-
-def _check_workers(workers: int):
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 def _map(fn, items: list, workers: int) -> list:
     """`[fn(x) for x in items]`, computed by a pool of at most `workers`
     processes, no more than the CPUs this process may run on and one per
     item; with one process, computed here."""
-    _check_workers(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cpus = os.cpu_count() or 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -434,7 +431,7 @@ def _check_all(ids, items: list, workers: int) -> list[VerificationReport]:
     ids = list(ids)
     per_class = _map(functools.partial(_check_class, ids), items, workers)
     if not per_class:
-        return [VerificationReport(check_id, "not-applicable") for check_id in ids]
+        return [VerificationReport(check_id) for check_id in ids]
     return [merge_reports(reports) for reports in zip(*per_class)]
 
 
@@ -479,7 +476,22 @@ def verify_corpus(
     cancellativity swap, but no check reads either alone.  For t4,
     `all_satisfied` is symmetric, the diagonal always induces the
     universal congruence, one class, since every L[a][x] holds x, and
-    the full relation is admissible only when L[a] = R[a] for every a."""
+    the full relation is admissible only when L[a] = R[a] for every a.
+
+    Why every member has as many witnesses as its representative.  A
+    relabeling carries the relation, the classes, the quotient and the
+    components of a table onto those of its image, and transposing gives
+    their transposes, as above; the classifiers read are self-dual.  So
+    each witness of a check has a counterpart on every member, though
+    the elements it names differ.  t4 gives one per candidate relation
+    that induces no congruence, and the candidates are the same on every
+    member.  t6, c12 and c15 give one per unclosed class and one per
+    failing (component, classifier) pair, and t6 one more for a quotient
+    that is no semilattice.  p7 gives one per (class, a) for which some
+    x of the class meets rel & L[a] off the diagonal, and rel & L[a] =
+    rel & R[a].  p11, p14 and square-descent give at most one, for a
+    failing conclusion, and diagram one per implication whose hypothesis
+    holds and conclusion fails."""
     classes = [(s.rows, size) for s, size in _classes(n, "iso_anti")]
     return [
         replace(r, witnesses=tuple(sorted(r.witnesses, key=itemgetter(0))))

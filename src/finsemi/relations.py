@@ -249,12 +249,13 @@ def canonical_relation(s: CayleyTable) -> BinaryRelation:
     is closed under every left translation: for (x, y) in rel, (cx, cy)
     and (a*cx, a*cy) = ((ac)x, (ac)y) are in B for every a, since rel
     lies in B's pull-back along every left translation, so (cx, cy) is
-    in rel; mirrored, rel is closed under every right translation.  Hence `check_admissibility(s, rel)` always holds.  Let
-    a ~ a' mean that rel meets L[a] and L[a'] alike
-    (`induced_congruence`).  Then ac ~ a'c: for (x, y) in rel, (cx, cy)
-    is in rel, so a*cx = a*cy <=> a'*cx = a'*cy.  And ca ~ ca': (x, y)
-    and (xc, yc) are in rel, so in B, and c*ax = c*ay <=> x*ca = y*ca
-    <=> a*xc = a*yc <=> a'*xc = a'*yc, and back the same way for a'.
+    in rel; mirrored, rel is closed under every right translation.
+    Hence `check_admissibility(s, rel)` always holds.  Let a ~ a' mean
+    that rel meets L[a] and L[a'] alike (`induced_congruence`).  Then
+    ac ~ a'c: for (x, y) in rel, (cx, cy) is in rel, so a*cx = a*cy <=>
+    a'*cx = a'*cy.  And ca ~ ca': (x, y) and (xc, yc) are in rel, so in
+    B, and c*ax = c*ay <=> x*ca = y*ca <=> a*xc = a*yc <=> a'*xc =
+    a'*yc, and back the same way for a'.
     """
     n = s.n
     left, right = s.fact(_kernels)

