@@ -25,7 +25,6 @@ from .core import (
     validate,
 )
 from .decomposition import (
-    Component,
     SemilatticeDecomposition,
     VerificationReport,
     admissible_candidates,

@@ -174,13 +174,13 @@ def cmd_decompose(args) -> int:
     out.write(
         f"quotient_is_semilattice: {'true' if d.quotient_is_semilattice else 'false'}\n"
     )
-    for i, comp in enumerate(d.components):
+    for i, (cls, comp) in enumerate(zip(d.congruence.classes, d.components)):
         if comp is None:
             out.write(f"component {i}: not closed under the product\n")
             continue
-        out.write(f"component {i}: elements {' '.join(str(e) for e in comp.elements)}\n")
-        out.write(format_table(comp.table))
-        out.write(format_profile(classify(comp.table)))
+        out.write(f"component {i}: elements {' '.join(str(e) for e in cls)}\n")
+        out.write(format_table(comp))
+        out.write(format_profile(classify(comp)))
     return 0
 
 

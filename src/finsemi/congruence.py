@@ -26,11 +26,14 @@ class NotACongruence(ValueError):
 
 @dataclass(frozen=True)
 class Congruence:
-    """A partition of {0..n-1} verified compatible with the product."""
+    """A partition of the carrier verified compatible with the product.
+    Only the classes are stored; `class_of` is derived from them."""
 
-    n: int
-    class_of: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
+
+    @property
+    def class_of(self) -> tuple[int, ...]:
+        return tuple(_class_index(self.classes))
 
 
 def induced_congruence(s: CayleyTable, rel: BinaryRelation) -> Congruence:
@@ -51,7 +54,7 @@ def induced_congruence(s: CayleyTable, rel: BinaryRelation) -> Congruence:
     for a, kernel in enumerate(s.fact(_kernels)[0]):
         groups.setdefault(tuple(map(int.__and__, rel.rows, kernel)), []).append(a)
     classes = sorted(groups.values())
-    class_of = _class_index(s.n, classes)
+    class_of = _class_index(classes)
     rows = s.rows
     for x, *rest in classes:
         for y in rest:
@@ -64,11 +67,11 @@ def induced_congruence(s: CayleyTable, rel: BinaryRelation) -> Congruence:
                     raise NotACongruence(
                         (x, y, c), "right multiplication separates related elements"
                     )
-    return Congruence(s.n, tuple(class_of), tuple(tuple(c) for c in classes))
+    return Congruence(tuple(tuple(c) for c in classes))
 
 
-def _class_index(n: int, classes) -> list[int]:
-    class_of = [0] * n
+def _class_index(classes) -> list[int]:
+    class_of = [0] * sum(map(len, classes))
     for ci, cls in enumerate(classes):
         for x in cls:
             class_of[x] = ci
@@ -109,7 +112,7 @@ def least_semilattice_congruence(s: CayleyTable) -> Congruence:
     for x in range(n):
         groups.setdefault(find(x), []).append(x)
     classes = tuple(tuple(groups[r]) for r in sorted(groups))
-    return Congruence(n, tuple(_class_index(n, classes)), classes)
+    return Congruence(classes)
 
 
 def quotient(s: CayleyTable, c: Congruence) -> CayleyTable:

@@ -38,23 +38,18 @@ from . import zoo
 
 
 @dataclass(frozen=True)
-class Component:
-    """A congruence class that is closed under the source product,
-    re-indexed densely with its back-map into the source."""
-
-    table: CayleyTable
-    elements: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SemilatticeDecomposition:
-    """Holds no reference to the decomposed table, so that as a fact of
+    """components[i] is the table of congruence.classes[i], re-indexed
+    in class order, or None when that class is not closed under the
+    product; the class is the back-map into the source.
+
+    Holds no reference to the decomposed table, so that as a fact of
     that table it forms no reference cycle and is freed with it."""
 
     relation: BinaryRelation
     congruence: Congruence
     quotient: CayleyTable
-    components: tuple[Optional[Component], ...]
+    components: tuple[Optional[CayleyTable], ...]
 
     @property
     def quotient_is_semilattice(self) -> bool:
@@ -85,12 +80,12 @@ def decompose(s: CayleyTable) -> SemilatticeDecomposition:
     cong = induced_congruence(s, rel)
     q = quotient(s, cong)
     rows, qrows = s.rows, q.rows
-    components: list[Optional[Component]] = []
+    components: list[Optional[CayleyTable]] = []
     for i, cls in enumerate(cong.classes):
         if qrows[i][i] == i:
             local = {g: j for j, g in enumerate(cls)}
             sub = [[local[rows[x][y]] for y in cls] for x in cls]
-            components.append(Component(CayleyTable(sub), cls))
+            components.append(CayleyTable(sub))
         else:
             components.append(None)
     return SemilatticeDecomposition(rel, cong, q, tuple(components))
@@ -155,6 +150,16 @@ def admissible_candidates(s: CayleyTable) -> list[tuple[str, BinaryRelation]]:
 def verify_congruence_construction(s: CayleyTable) -> VerificationReport:
     """Every admissible candidate relation must induce a congruence.
 
+    Why none fails.  The diagonal lies in every L[a], so it induces one
+    class.  The canonical relation is covered by the
+    proof in `canonical_relation`.  The full relation, when admissible,
+    is balanced: L[a] = R[a] for every a, and a ~ a' iff L[a] = L[a'].
+    Then L[ac] = L[a'c], because acx = acy iff (cx, cy) is in L[a]; and
+    L[ca] = R[ca] = R[ca'] = L[ca'], because xca = yca iff (xc, yc) is
+    in R[a] = L[a].  The compatibility scan stays as the computational
+    check; tests/test_decomposition.py checks the full-relation case up
+    to order 5.
+
     A candidate equal to the canonical relation reads the decomposition
     fact instead of inducing its congruence again: `decompose` raises iff
     `induced_congruence` does on that relation, with the same witness,
@@ -187,7 +192,7 @@ def _component_check(
             witnesses.append(("class_not_closed", idx))
             continue
         for key in keys:
-            ok, w = _holds(comp.table, key)
+            ok, w = _holds(comp, key)
             if not ok:
                 witnesses.append((f"component_not_{key}", idx, w))
     return _report(check_id, witnesses, components=len(d.components))

@@ -126,7 +126,8 @@ def right_equalizer(s: CayleyTable, a: int) -> BinaryRelation:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Outcome of the three admissibility conditions, with first witnesses.
+    """Outcome of the three admissibility conditions: the first witness
+    of each is stored, None when it holds, and the verdicts are derived.
 
     balanced:      rel meets left and right equalizers of every a identically
     left_stable:   left-translating rel's overlap with the left equalizer of
@@ -134,12 +135,21 @@ class AdmissibilityReport:
     right_stable:  the mirrored condition on the right
     """
 
-    balanced: bool
-    left_stable: bool
-    right_stable: bool
     balanced_witness: Optional[tuple[int, int, int]] = None
     left_witness: Optional[tuple[int, int, int, int]] = None
     right_witness: Optional[tuple[int, int, int, int]] = None
+
+    @property
+    def balanced(self) -> bool:
+        return self.balanced_witness is None
+
+    @property
+    def left_stable(self) -> bool:
+        return self.left_witness is None
+
+    @property
+    def right_stable(self) -> bool:
+        return self.right_witness is None
 
     @property
     def all_satisfied(self) -> bool:
@@ -200,9 +210,7 @@ def check_admissibility(s: CayleyTable, rel: BinaryRelation) -> AdmissibilityRep
     if rel != BinaryRelation.full(n):
         left_w = _first_unstable(rows, rel_rows, left, rows, True)
         right_w = _first_unstable(rows, rel_rows, right, list(zip(*rows)), False)
-    return AdmissibilityReport(
-        bal_w is None, left_w is None, right_w is None, bal_w, left_w, right_w
-    )
+    return AdmissibilityReport(bal_w, left_w, right_w)
 
 
 def context_equivalent(mul, elems, x, y) -> bool:

@@ -160,50 +160,33 @@ class BicyclicBalanceWitness:
 
     With a = b^2 = (0,2), b = a = (1,0), x = 1 = (0,0), y = ab = (1,1):
     a*x = a*y and x*b = y*b both hold, yet x*a != y*a and b*x != b*y.
+    Only the quadruple is stored; both verdicts recompute their products
+    through bicyclic_mul.
     """
 
     a: BicyclicElement
     b: BicyclicElement
     x: BicyclicElement
     y: BicyclicElement
-    ax: BicyclicElement
-    ay: BicyclicElement
-    xb: BicyclicElement
-    yb: BicyclicElement
-    xa: BicyclicElement
-    ya: BicyclicElement
-    bx: BicyclicElement
-    by: BicyclicElement
 
     @property
     def premise_holds(self) -> bool:
-        return self.ax == self.ay and self.xb == self.yb
+        a, b, x, y = self.a, self.b, self.x, self.y
+        return a * x == a * y and x * b == y * b
 
     @property
     def conclusion_holds(self) -> bool:
-        return self.xa == self.ya and self.bx == self.by
+        a, b, x, y = self.a, self.b, self.x, self.y
+        return x * a == y * a and b * x == b * y
 
 
 def bicyclic_weakly_balanced_witness() -> BicyclicBalanceWitness:
-    """Evaluate the quadruple showing the bicyclic monoid fails weak
-    balance; every product is recomputed through bicyclic_mul."""
-    a = BicyclicElement(0, 2)
-    b = BicyclicElement(1, 0)
-    x = BICYCLIC_IDENTITY
-    y = BicyclicElement(1, 1)
+    """The quadruple showing the bicyclic monoid fails weak balance."""
     return BicyclicBalanceWitness(
-        a=a,
-        b=b,
-        x=x,
-        y=y,
-        ax=bicyclic_mul(a, x),
-        ay=bicyclic_mul(a, y),
-        xb=bicyclic_mul(x, b),
-        yb=bicyclic_mul(y, b),
-        xa=bicyclic_mul(x, a),
-        ya=bicyclic_mul(y, a),
-        bx=bicyclic_mul(b, x),
-        by=bicyclic_mul(b, y),
+        a=BicyclicElement(0, 2),
+        b=BicyclicElement(1, 0),
+        x=BICYCLIC_IDENTITY,
+        y=BicyclicElement(1, 1),
     )
 
 

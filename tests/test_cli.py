@@ -463,6 +463,20 @@ def test_omega_relation_file(tmp_path, capsys):
     assert "classes: 1" in out
 
 
+def test_omega_prints_stability_witnesses(tmp_path, capsys):
+    rel = tmp_path / "rel.txt"
+    rel.write_text("0 0\n0 2\n1 1\n2 2\n")
+    code, out, _ = run_cli(capsys, "omega", "zoo:chain:3", "--relation", f"file:{rel}")
+    assert code == 0
+    assert out.endswith(
+        "balanced: true\n"
+        "left_stable: false\n"
+        "left_stable_witness: 0 1 0 2\n"
+        "right_stable: false\n"
+        "right_stable_witness: 1 0 0 2\n"
+    )
+
+
 def test_omega_rejects_bad_relation_spec(capsys):
     assert run_cli(capsys, "omega", "zoo:null2", "--relation", "nonsense")[0] == 2
 

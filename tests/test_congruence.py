@@ -121,9 +121,17 @@ def test_quotient_examples():
 
 def test_quotient_detects_representative_dependence():
     # {0, 2} vs {1} is not a congruence of the flip-flop monoid
-    bad = Congruence(3, (0, 1, 0), ((0, 2), (1,)))
+    bad = Congruence(((0, 2), (1,)))
     with pytest.raises(NotACongruence):
         quotient(FLIP_FLOP, bad)
+
+
+def test_congruence_derives_class_of_from_classes():
+    # class_of is read from the classes, so no stored copy can disagree
+    # with them and turn a congruence into a NotACongruence
+    cong = Congruence(((0, 1), (2,)))
+    assert cong.class_of == (0, 0, 1)
+    assert quotient(chain_semilattice(3), cong).n == 2
 
 
 def test_is_band_and_semilattice():
@@ -175,8 +183,8 @@ def test_quotient_of_quasi_separative_is_semilattice():
 
 
 def _same_class_pairs(cong: Congruence) -> set:
-    n = cong.n
     c = cong.class_of
+    n = len(c)
     return {(x, y) for x in range(n) for y in range(n) if c[x] == c[y]}
 
 

@@ -139,17 +139,15 @@ def test_bicyclic_balance_witness_record():
         BicyclicElement(0, 0),
         BicyclicElement(1, 1),
     )
-    assert w.ax == w.ay == BicyclicElement(0, 2)
-    assert w.xb == w.yb == BicyclicElement(1, 0)
-    assert w.bx == BicyclicElement(1, 0)
-    assert w.by == BicyclicElement(2, 1)
+    a, b, x, y = w.a, w.b, w.x, w.y
+    assert bicyclic_mul(a, x) == bicyclic_mul(a, y) == BicyclicElement(0, 2)
+    assert bicyclic_mul(x, b) == bicyclic_mul(y, b) == BicyclicElement(1, 0)
+    assert bicyclic_mul(x, a) == BicyclicElement(0, 2)
+    assert bicyclic_mul(y, a) == BicyclicElement(1, 3)
+    assert bicyclic_mul(b, x) == BicyclicElement(1, 0)
+    assert bicyclic_mul(b, y) == BicyclicElement(2, 1)
     assert w.premise_holds
     assert not w.conclusion_holds
-    # every stored product matches a fresh evaluation
-    assert w.ax == bicyclic_mul(w.a, w.x) and w.ay == bicyclic_mul(w.a, w.y)
-    assert w.xb == bicyclic_mul(w.x, w.b) and w.yb == bicyclic_mul(w.y, w.b)
-    assert w.xa == bicyclic_mul(w.x, w.a) and w.ya == bicyclic_mul(w.y, w.a)
-    assert w.bx == bicyclic_mul(w.b, w.x) and w.by == bicyclic_mul(w.b, w.y)
 
 
 def test_bicyclic_bounded_checks_small():
