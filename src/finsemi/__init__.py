@@ -34,7 +34,8 @@ from .decomposition import (
     strictness_witnesses,
 )
 from .enumeration import (
-    MAX_ORDER,
+    MAX_CLASS_ORDER,
+    MAX_LABELED_ORDER,
     OrderTooLarge,
     canonical_form,
     enumerate_canonical,

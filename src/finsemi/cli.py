@@ -27,9 +27,9 @@ from .decomposition import (
     run_checks,
     search_cor15_converse,
     strictness_witnesses,
-    verify_corpus,
+    summarize_corpus,
 )
-from .enumeration import MAX_ORDER, enumerate_canonical, enumerate_labeled
+from .enumeration import MAX_CLASS_ORDER, enumerate_canonical, enumerate_labeled
 from .properties import PROFILE_KEYS, _holds, classify, format_profile
 from .relations import (
     BinaryRelation,
@@ -57,7 +57,7 @@ _ZOO_MAX_ELEMENTS = 256
 
 # `verify --corpus` runs the checks on every labeled table up to this
 # order and on one table per isomorphism-and-mirror class above it
-# (`verify_corpus`).
+# (`summarize_corpus`).
 # Both routes print the same.  The class route is faster at order 3 too
 # (7 ms against 25 ms); the labeled one stays there because the
 # benchmark's trace tests assert its call counts on `verify --corpus 3`.
@@ -190,11 +190,13 @@ def cmd_verify(args) -> int:
     if args.corpus is not None and args.table is not None:
         raise ValueError("verify takes a table or --corpus, not both")
     if args.corpus is not None:
-        if args.corpus <= _LABELED_CORPUS_MAX:
+        # an order below 1 takes the class route too, whose error names
+        # the bound of --corpus
+        if 1 <= args.corpus <= _LABELED_CORPUS_MAX:
             tables = enumerate_labeled(args.corpus)
             reports = run_checks(tables, ids, workers=args.workers)
         else:
-            reports = verify_corpus(args.corpus, ids, workers=args.workers)
+            reports = summarize_corpus(args.corpus, ids, workers=args.workers)
     elif args.table is not None:
         reports = run_checks([load_table(args.table)], ids, workers=args.workers)
     else:
@@ -328,10 +330,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--corpus",
         type=_int_arg,
         metavar="N",
-        help=f"check every labeled table of order N (N <= {MAX_ORDER}); above "
-        f"order {_LABELED_CORPUS_MAX}, one table per isomorphism-and-mirror "
-        "class, its counts weighted by the class size, and each member of a "
-        "class that has a witness",
+        help=f"check every labeled table of order N (N <= {MAX_CLASS_ORDER}); "
+        f"above order {_LABELED_CORPUS_MAX}, one table per "
+        "isomorphism-and-mirror class, its counts weighted by the class size, "
+        "and only the members whose witnesses are printed",
     )
     p.add_argument(
         "--theorem",

@@ -12,11 +12,16 @@ an order from one table per isomorphism-and-mirror class, each count
 weighted by the class's size (both of its isomorphism orbits) as the
 enumeration's fill counts it, and builds and checks the members of a
 class one by one only where its representative yields a witness.
+`summarize_corpus` gives the same reports as the text report prints
+them: each lists the witnesses of the least members only, until
+`_WITNESSES_SHOWN` are listed, and stores how many there are in all, so
+it checks only the members whose witnesses are listed.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import multiprocessing
 import os
 from dataclasses import dataclass, replace
@@ -25,7 +30,13 @@ from typing import Iterable, Optional, Sequence
 
 from .congruence import Congruence, NotACongruence, induced_congruence, quotient
 from .core import CayleyTable
-from .enumeration import _check_order, _classes, _orbit, enumerate_canonical
+from .enumeration import (
+    MAX_CLASS_ORDER,
+    _check_order,
+    _classes,
+    _orbit,
+    enumerate_canonical,
+)
 from .properties import PropertyProfile, _holds, classify, is_semilattice
 from .relations import (
     BinaryRelation,
@@ -96,11 +107,15 @@ class VerificationReport:
     """One check's witnesses and counts, on one table or folded over
     many.  Its verdict is derived from them: violated when it has a
     witness, verified when it counts a table that met the check's
-    premises (`applicable`), and not-applicable otherwise."""
+    premises (`applicable`), and not-applicable otherwise.  A report
+    that lists fewer witnesses than it counts (`summarize_corpus`)
+    stores their number as `total`; otherwise it is None, the list being
+    complete."""
 
     check: str
     witnesses: tuple = ()
     counts: tuple = ()  # sorted ((name, value), ...)
+    total: Optional[int] = None
 
     @property
     def verdict(self) -> str:
@@ -357,7 +372,8 @@ CHECK_IDS = tuple(CHECKS)
 
 _ALIASES = {"t10": "t6"}
 
-# witnesses printed per report; the report itself keeps them all
+# witnesses printed per report; a `verify_corpus` report keeps them all,
+# a `summarize_corpus` report lists only these and stores their total
 _WITNESSES_SHOWN = 5
 
 
@@ -388,13 +404,13 @@ def _check_class(ids, item) -> tuple:
     """One report per check in `ids` for the `size` labeled tables that
     the table `grid` stands for, `item` being (grid, size): its
     isomorphism-and-mirror class in `verify_corpus`, the table itself
-    (size 1) in `run_checks`.  Every check is invariant under relabeling
-    and transposing, so each report has the table's verdict and its
-    counts times `size`.  The class's members are built only where the
-    table yields a witness and stands for more than itself; then the
-    report also holds each other member's own witnesses, in member
-    order.  Each witness is tagged with its table, so aggregated reports
-    stay re-checkable."""
+    (size 1) in `run_checks` and `summarize_corpus`.  Every check is
+    invariant under relabeling and transposing, so each report has the
+    table's verdict and its counts times `size`.  The class's members
+    are built only where the table yields a witness and stands for more
+    than itself; then the report also holds each other member's own
+    witnesses, in member order.  Each witness is tagged with its table,
+    so aggregated reports stay re-checkable."""
     grid, size = item
     # A fresh table, not the caller's: its facts are dropped with it after
     # its checks, so a corpus run does not keep every table's facts and a
@@ -504,13 +520,81 @@ def verify_corpus(
     ]
 
 
+def _members(grid: tuple, i: int):
+    """(rows, i, table) for each member of the isomorphism-and-mirror
+    class of the canonical table `grid`, in labeled order: first `grid`
+    itself, the least member, with None for its table, then the others,
+    built only once the second is asked for."""
+    yield grid, i, None
+    for m in _orbit(CayleyTable(grid), "iso_anti")[1:]:
+        yield m.rows, i, m
+
+
+def summarize_corpus(
+    n: int, ids: Sequence[str], workers: int = 1
+) -> list[VerificationReport]:
+    """The reports of `verify_corpus(n, ids, workers)` as `format_report`
+    prints them: the same counts, the first `_WITNESSES_SHOWN` witnesses,
+    and the total where it is more.
+
+    Each class is checked on its representative only, one class per
+    pool task, and its counts are weighted by the class size.  Every
+    member has as many witnesses as its representative (`verify_corpus`
+    says why), so a check's total is the sum of each representative's
+    count times its class size.  The witnesses listed are those of the
+    least labeled tables: the members of the classes with a witness are
+    merged in labeled order, and each member after a representative is
+    built once and checked for every check that still lists fewer than
+    it shows, until none does."""
+    ids = list(ids)
+    grids, sizes = zip(*[(s.rows, size) for s, size in _classes(n, "iso_anti")])
+    items = [(grid, 1) for grid in grids]
+    per_class = _map(functools.partial(_check_class, ids), items, workers)
+    columns = list(zip(*per_class))  # per check, its report on each class
+    totals = [sum(len(r.witnesses) * k for r, k in zip(c, sizes)) for c in columns]
+    wanted = [min(total, _WITNESSES_SHOWN) for total in totals]
+    listed: list[list] = [[] for _ in ids]
+    members = heapq.merge(
+        *(
+            _members(grids[i], i)
+            for i, reports in enumerate(per_class)
+            if any(r.witnesses for r in reports)
+        )
+    )
+    while any(len(out) < k for out, k in zip(listed, wanted)):
+        grid, i, member = next(members)
+        for r, out, k in zip(per_class[i], listed, wanted):
+            if r.witnesses and len(out) < k:
+                if member is None:
+                    out.extend(r.witnesses)
+                else:
+                    out.extend((grid, w) for w in CHECKS[r.check](member).witnesses)
+    reports = []
+    for col, out, total in zip(columns, listed, totals):
+        counts: dict[str, int] = {}
+        for r, k in zip(col, sizes):
+            for key, v in r.counts:
+                counts[key] = counts.get(key, 0) + v * k
+        shown = tuple(out[:_WITNESSES_SHOWN])
+        reports.append(
+            VerificationReport(
+                col[0].check,
+                shown,
+                tuple(sorted(counts.items())),
+                total if total > len(shown) else None,
+            )
+        )
+    return reports
+
+
 def format_report(r: VerificationReport) -> str:
     head = f"{r.check}: {r.verdict}"
     if r.counts:
         head += " (" + ", ".join(f"{k}={v}" for k, v in r.counts) + ")"
     lines = [head]
-    lines.extend(f"  witness: {w}" for w in r.witnesses[:_WITNESSES_SHOWN])
-    hidden = len(r.witnesses) - _WITNESSES_SHOWN
+    shown = r.witnesses[:_WITNESSES_SHOWN]
+    lines.extend(f"  witness: {w}" for w in shown)
+    hidden = (len(r.witnesses) if r.total is None else r.total) - len(shown)
     if hidden > 0:
         lines.append(f"  ({hidden} more witnesses not shown)")
     return "\n".join(lines)
@@ -533,7 +617,7 @@ def search_cor15_converse(max_order: int) -> Optional[CayleyTable]:
     this process: within 16 classes it reaches the order-3 hit, or
     exhausts orders 1 and 2.
     """
-    _check_order(max_order)
+    _check_order(max_order, MAX_CLASS_ORDER)
     tables = (
         s for n in range(1, max_order + 1) for s in enumerate_canonical(n, "iso_anti")
     )

@@ -31,18 +31,23 @@ from typing import Iterator, Optional
 
 from .core import CayleyTable
 
-MAX_ORDER = 5
+# The largest order of the labeled stream and of `random_table`: order 6
+# has 17,061,118 labeled tables.
+MAX_LABELED_ORDER = 5
+# The largest order of the class fill (`_classes`) and of what reads it,
+# one table per class: order 6 has 28,634 isomorphism classes.
+MAX_CLASS_ORDER = 6
 
 
 class OrderTooLarge(ValueError):
-    def __init__(self, n: int):
+    def __init__(self, n: int, bound: int):
         self.n = n
-        super().__init__(f"order {n} outside the supported range 1..{MAX_ORDER}")
+        super().__init__(f"order {n} outside the supported range 1..{bound}")
 
 
-def _check_order(n: int):
-    if not 1 <= n <= MAX_ORDER:
-        raise OrderTooLarge(n)
+def _check_order(n: int, bound: int):
+    if not 1 <= n <= bound:
+        raise OrderTooLarge(n, bound)
 
 
 def _fits(t, at, r, c, values) -> Iterator[int]:
@@ -195,6 +200,7 @@ def enumerate_labeled(n: int) -> Iterator[CayleyTable]:
     row-major order: the orbits of the isomorphism classes, sorted as
     byte keys and built as tables only as they are yielded.  Classes are
     disjoint, so no repeat is dropped across them."""
+    _check_order(n, MAX_LABELED_ORDER)
     keys = []
     for rep in enumerate_canonical(n, "iso"):
         keys += set(_relabeled(rep, "iso"))
@@ -211,7 +217,7 @@ def random_table(n: int, rng: random.Random) -> CayleyTable:
     and each attempt does so with probability at least n**-(n*n), so a
     draw ends with probability 1.  The tables are not uniform over
     semigroups, which is fine for fuzz input."""
-    _check_order(n)
+    _check_order(n, MAX_LABELED_ORDER)
     values = list(range(n))
     while True:
         t = [[-1] * n for _ in range(n)]
@@ -258,8 +264,8 @@ def _each_relabeling(n: int, mode: str) -> Iterator[tuple]:
 @functools.cache
 def _relabelings(n: int, mode: str) -> tuple:
     """`_each_relabeling(n, mode)`, built once per order and mode.  Only
-    orders up to MAX_ORDER are read through this cache; larger ones are
-    streamed, so none of their n! records stays resident."""
+    orders up to MAX_CLASS_ORDER are read through this cache; larger ones
+    are streamed, so none of their n! records stays resident."""
     return tuple(_each_relabeling(n, mode))
 
 
@@ -268,7 +274,10 @@ def _relabeled(s: CayleyTable, mode: str) -> list[bytes]:
     as a flat row-major byte key, repeats included; byte order is the
     tables' lexicographic order, the values being below 256."""
     n, key = s.n, bytes(chain.from_iterable(s.rows))
-    records = _relabelings(n, mode) if n <= MAX_ORDER else _each_relabeling(n, mode)
+    if n <= MAX_CLASS_ORDER:
+        records = _relabelings(n, mode)
+    else:
+        records = _each_relabeling(n, mode)
     return [bytes(getter(key)).translate(values) for _, _, getter, values in records]
 
 
@@ -304,7 +313,7 @@ def _classes(n: int, mode: str) -> Iterator[tuple[CayleyTable, int]]:
     number of relabelings over the number that map it onto itself, n!
     over its automorphism count in "iso" mode.  The fill counts the
     relabelings that tie with each representative, so no orbit is built."""
-    _check_order(n)
+    _check_order(n, MAX_CLASS_ORDER)
     relabelings = _relabelings(n, mode)
     # the first relabeling is the identity, which every table ties with
     for rep, ties in _fills(n, relabelings[1:]):

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,7 @@ import finsemi
 from finsemi import PROFILE_KEYS, classify, format_table, parse_table, run_checks
 from finsemi import cli
 from finsemi.cli import load_table, main
-from finsemi.decomposition import CHECK_IDS
+from finsemi.decomposition import CHECK_IDS, summarize_corpus, verify_corpus
 
 import oracles
 
@@ -287,7 +288,8 @@ def test_verify_corpus_4_t6_reports_violations(capsys):
 
 def test_verify_workers_do_not_change_output(capsys):
     # order 3 takes the labeled route; order 4 the class route, whose
-    # t6 witnesses come from 2 of the classes the workers share out
+    # representatives the workers share out; its t6 witnesses come from
+    # 1 iso_anti class of 48 members, the first 5 checked in this process
     for n, theorem in (("3", "diagram"), ("4", "all")):
         argv = ["verify", "--corpus", n, "--theorem", theorem]
         one = run_cli(capsys, *argv, "--workers", "1")
@@ -312,19 +314,52 @@ def test_verify_corpus_matches_the_labeled_route(capsys, monkeypatch, n, theorem
     monkeypatch.setattr("finsemi.cli._LABELED_CORPUS_MAX", 0)
     classes = run_cli(capsys, *argv)
 
+    # the route `cmd_verify` calls, replaced by the labeled reports
+    calls = []
+
     def labeled(order, ids, workers=1):
+        calls.append(order)
         return [labeled_reports(order)[check_id] for check_id in ids]
 
-    monkeypatch.setattr("finsemi.cli.verify_corpus", labeled)
+    monkeypatch.setattr("finsemi.cli.summarize_corpus", labeled)
     assert classes == run_cli(capsys, *argv)
+    assert calls == [n]
 
 
-def _order_error(n):
-    return (2, "", f"error: order {n} outside the supported range 1..5\n")
+def test_class_route_prints_the_full_route_report(capsys, monkeypatch):
+    # the class route lists the first witnesses of the full route's
+    # complete, sorted lists and stores the total of a longer list
+    full = {n: verify_corpus(n, CHECK_IDS) for n in range(1, 6)}
+    stored = 0
+    for n, reports in full.items():
+        for short, whole in zip(summarize_corpus(n, CHECK_IDS), reports):
+            assert short.witnesses == whole.witnesses[: len(short.witnesses)]
+            assert replace(short, total=None, witnesses=()) == replace(
+                whole, witnesses=()
+            )
+            if short.total is None:
+                assert short == whole, (n, short.check)
+            else:
+                assert len(short.witnesses) == 5 < short.total == len(whole.witnesses)
+                stored += 1
+    assert stored == 2  # t6 at orders 4 and 5
+    argv = ["verify", "--corpus", "5", "--theorem", "all"]
+    printed = run_cli(capsys, *argv)
+    monkeypatch.setattr(
+        "finsemi.cli.summarize_corpus", lambda n, ids, workers=1: full[n]
+    )
+    assert run_cli(capsys, *argv) == printed
+    assert printed[1].count("  witness: ") == 5
+
+
+def _order_error(n, bound):
+    return (2, "", f"error: order {n} outside the supported range 1..{bound}\n")
 
 
 def test_verify_rejects_bad_inputs(capsys):
-    assert run_cli(capsys, "verify", "--corpus", "7") == _order_error(7)
+    # --corpus reaches the class bound, 6, at every order
+    assert run_cli(capsys, "verify", "--corpus", "7") == _order_error(7, 6)
+    assert run_cli(capsys, "verify", "--corpus", "0") == _order_error(0, 6)
     assert run_cli(capsys, "verify", "--theorem", "t4")[0] == 2  # no table given
     assert run_cli(capsys, "verify", "zoo:null2", "--theorem", "nope")[0] == 2
 
@@ -400,8 +435,11 @@ def test_enumerate_filter_runs_only_its_predicate(capsys, monkeypatch):
 
 def test_enumerate_rejects_bad_filter_and_order(capsys):
     assert run_cli(capsys, "enumerate", "--order", "2", "--filter", "magic")[0] == 2
-    assert run_cli(capsys, "enumerate", "--order", "6") == _order_error(6)
-    assert run_cli(capsys, "enumerate", "--order", "6", "--canonical") == _order_error(6)
+    # the labeled stream stops at order 5, the class stream at order 6
+    assert run_cli(capsys, "enumerate", "--order", "6") == _order_error(6, 5)
+    assert run_cli(capsys, "enumerate", "--order", "7", "--canonical") == (
+        _order_error(7, 6)
+    )
 
 
 def test_enumerate_mode_requires_canonical(capsys):
@@ -500,7 +538,12 @@ def test_search_converse_cli_reproducible(capsys):
 
 
 def test_search_converse_bad_args(capsys):
-    assert run_cli(capsys, "search-converse-c15", "--max-order", "0") == _order_error(0)
+    assert run_cli(capsys, "search-converse-c15", "--max-order", "0") == (
+        _order_error(0, 6)
+    )
+    assert run_cli(capsys, "search-converse-c15", "--max-order", "7") == (
+        _order_error(7, 6)
+    )
 
 
 def test_search_converse_takes_no_workers_option(capsys):

@@ -63,10 +63,14 @@ def test_labeled_tables_are_valid():
 
 
 def test_order_bounds():
-    with pytest.raises(OrderTooLarge):
+    # the labeled stream and random draws stop at order 5, below the
+    # class bound, 6: order 6 has 17,061,118 labeled tables
+    with pytest.raises(OrderTooLarge, match=r"order 0 .* 1\.\.5$"):
         list(enumerate_labeled(0))
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(OrderTooLarge, match=r"order 6 .* 1\.\.5$"):
         list(enumerate_labeled(6))
+    with pytest.raises(OrderTooLarge, match=r"order 6 .* 1\.\.5$"):
+        random_table(6, random.Random(0))
 
 
 def test_canonical_form_modes():
@@ -178,9 +182,9 @@ def test_canonical_stream_builds_only_representatives(monkeypatch, mode, classes
 def test_canonical_argument_checks():
     with pytest.raises(ValueError):
         list(enumerate_canonical(3, "both"))
-    with pytest.raises(OrderTooLarge):
-        list(enumerate_canonical(6))
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(OrderTooLarge, match=r"order 7 .* 1\.\.6$"):
+        list(enumerate_canonical(7))
+    with pytest.raises(OrderTooLarge, match=r"order 0 .* 1\.\.6$"):
         list(enumerate_canonical(0, "iso"))
 
 
@@ -196,13 +200,13 @@ def test_relabelings_are_built_once_per_order_and_mode():
 
 
 def test_canonical_form_above_max_order_is_not_cached():
-    # orders above MAX_ORDER build their relabelings for the call only,
-    # instead of keeping n! source maps resident (5,040 at order 7)
+    # orders above MAX_CLASS_ORDER build their relabelings for the call
+    # only, instead of keeping n! source maps resident (5,040 at order 7)
     cached = _relabelings.cache_info().currsize
     # every relabeling of a left-zero band is the band itself
     assert canonical_form(left_zero(7), "iso") == left_zero(7)
-    form = canonical_form(cyclic_group(6))
-    reversed_labels = validate(oracles.relabel(form.rows, [5, 4, 3, 2, 1, 0]))
+    form = canonical_form(cyclic_group(7))
+    reversed_labels = validate(oracles.relabel(form.rows, [6, 5, 4, 3, 2, 1, 0]))
     assert canonical_form(reversed_labels) == form
     assert _relabelings.cache_info().currsize == cached
 
@@ -453,8 +457,8 @@ def test_relabeled_keys_match_per_cell_relabeling(mode):
     for n in (1, 2, 3, 4):
         for rep in enumerate_canonical(n, "iso"):
             assert _relabeled(rep, mode) == _naive_relabeled(rep, mode), (n, rep.rows)
-    # above MAX_ORDER the relabelings are streamed, not cached
-    for s in (cyclic_group(6), left_zero(6)):
+    # above MAX_CLASS_ORDER the relabelings are streamed, not cached
+    for s in (cyclic_group(7), left_zero(7)):
         assert _relabeled(s, mode) == _naive_relabeled(s, mode), s.rows
 
 
