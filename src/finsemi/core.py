@@ -120,21 +120,31 @@ def validate(grid: Iterable[Iterable[int]]) -> CayleyTable:
     s = CayleyTable(grid)
     rows = s.rows
     n = s.n
-    # getters[y](rx) is the row z -> x*(y*z), compared whole with the row
-    # of x*y; only a mismatch runs the z loop that finds the witness.  At
-    # n = 1 a getter returns the entry, not a 1-tuple, so the z loop
-    # decides that case.
-    getters = [itemgetter(*ry) for ry in rows]
-    for x in range(n):
-        rx = rows[x]
-        for y, getter in enumerate(getters):
-            rxy = rows[rx[y]]
-            if rxy != getter(rx):
-                ry = rows[y]
-                for z in range(n):
-                    if rxy[z] != rx[ry[z]]:
-                        raise NotAssociative(x, y, z)
+    # The row z -> x*(y*z) is compared whole with the row of x*y; only a
+    # mismatch runs the z loop that finds the witness.  While entries fit
+    # in a byte it is row y translated through row x, padded to the 256
+    # bytes `bytes.translate` takes; above that, `getters[y](rx)`.
+    if n <= 256:
+        keys = [bytes(r) for r in rows]
+        pad = bytes(range(n, 256))
+        for x, kx in enumerate(keys):
+            through = kx + pad
+            for y, ky in enumerate(keys):
+                if keys[kx[y]] != ky.translate(through):
+                    raise _witness(rows, x, y)
+    else:
+        getters = [itemgetter(*ry) for ry in rows]
+        for x, rx in enumerate(rows):
+            for y, getter in enumerate(getters):
+                if rows[rx[y]] != getter(rx):
+                    raise _witness(rows, x, y)
     return s
+
+
+def _witness(rows: tuple, x: int, y: int) -> NotAssociative:
+    """The failure at the first z with (x*y)*z != x*(y*z)."""
+    rx, ry, rxy = rows[x], rows[y], rows[rows[x][y]]
+    return NotAssociative(x, y, next(z for z, v in enumerate(rxy) if v != rx[ry[z]]))
 
 
 def adjoin_identity(s: CayleyTable) -> CayleyTable:

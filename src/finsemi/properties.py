@@ -105,10 +105,16 @@ def is_weakly_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
 
 
 def is_weakly_balanced(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
-    """a*x = a*y and x*b = y*b jointly force x*a = y*a and b*x = b*y."""
+    """a*x = a*y and x*b = y*b jointly force x*a = y*a and b*x = b*y.
+
+    A pair with L[a] = R[a] and L[b] = R[b] cannot fail: its mask
+    la & rb & ~(ra & lb) is la & lb & ~(la & lb) = 0.  So a balanced a
+    (L[a] = R[a]) is paired only with the unbalanced b, in the same
+    order; a commutative table scans no pair."""
     firsts = _firsts(zip(*s.fact(_kernels)))
+    unbalanced = [(b, (lb, rb)) for b, (lb, rb) in firsts if lb != rb]
     for a, (la, ra) in firsts:
-        for b, (lb, rb) in firsts:
+        for b, (lb, rb) in firsts if la != ra else unbalanced:
             for x in range(len(la)):
                 m = la[x] & rb[x] & ~(ra[x] & lb[x])
                 if m:

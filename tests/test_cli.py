@@ -566,6 +566,24 @@ def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
 
 
+def test_parser_is_built_once_and_dispatches_by_name(capsys, monkeypatch):
+    # the parser names each handler and `main` looks it up at call time,
+    # so a handler replaced after the parser was built is the one run:
+    # the span tracing of the benchmark patches the module's globals
+    cli._build_parser.cache_clear()
+    assert run_cli(capsys, "analyze", "zoo:null:2")[0] == 0
+    calls = []
+
+    def stub(args):
+        calls.append(args.table)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_analyze", stub)
+    assert run_cli(capsys, "analyze", "zoo:null:2") == (7, "", "")
+    assert calls == ["zoo:null:2"]
+    assert cli._build_parser.cache_info().misses == 1
+
+
 @pytest.mark.parametrize(
     "argv, token",
     [

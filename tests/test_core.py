@@ -104,6 +104,20 @@ def test_validate_reports_the_first_witness_of_the_triple_scan():
     assert rejected == (16 - 8) + (19683 - 113)
 
 
+@pytest.mark.parametrize("n", [256, 257])
+def test_validate_on_both_sides_of_the_byte_boundary(n):
+    # up to 256 elements the rows are compared as bytes, above it as
+    # tuples; both report the first witness of the triple scan
+    grid = [[x] * n for x in range(n)]
+    assert validate(grid).rows == tuple(map(tuple, grid))
+    grid[3][5] = 7
+    witness = oracles.first_associativity_witness(grid)
+    assert witness == (3, 0, 5)
+    with pytest.raises(NotAssociative) as exc:
+        validate(grid)
+    assert exc.value.witness == witness
+
+
 def test_validate_rejects_non_square():
     with pytest.raises(FormatError):
         validate([[0, 0]])

@@ -302,6 +302,15 @@ def test_predicate_matches_literal_oracle(predicate, oracle):
         assert predicate(s) == oracle(s), s.rows
 
 
+def test_weakly_balanced_matches_literal_oracle_on_every_order5_class():
+    # the scan skips the pairs with L = R on both sides: checked here on
+    # the 1,160 classes of order 5 as well as on oracle_tables()
+    from finsemi import enumerate_canonical
+
+    for s in enumerate_canonical(5, "iso_anti"):
+        assert is_weakly_balanced(s) == oracles.literal_weakly_balanced(s), s.rows
+
+
 def test_format_profile_stable_order():
     text = format_profile(classify(L2))
     lines = [l.split(":")[0] for l in text.splitlines() if not l.endswith("witness")]
