@@ -7,15 +7,15 @@ verified / violated / not-applicable with re-checkable witnesses.  They
 read the decomposition and the classifier verdicts as facts of the table
 (`s.fact(decompose)`), so each is computed once per table, a component's
 once per component table.  Corpus aggregation and the open counterexample
-search live here too: `verify_corpus` reports on every labeled table of
-an order from one table per isomorphism-and-mirror class, each count
-weighted by the class's size (both of its isomorphism orbits) as the
-enumeration's fill counts it, and builds and checks the members of a
-class one by one only where its representative yields a witness.
-`summarize_corpus` gives the same reports as the text report prints
-them: each lists the witnesses of the least members only, until
-`_WITNESSES_SHOWN` are listed, and stores how many there are in all, so
-it checks only the members whose witnesses are listed.
+search live here too: `verify_corpus` and `summarize_corpus` report on
+every labeled table of an order from one table per isomorphism-and-mirror
+class, each count weighted by the class's size (both of its isomorphism
+orbits) as the enumeration's fill counts it.  Both come from one
+function, `_corpus`, which merges, in labeled order, the members of the
+classes whose representative yields a witness, and builds and checks
+them one by one while a report lists fewer witnesses than it shows:
+every one for `verify_corpus`, the first `_WITNESSES_SHOWN` for
+`summarize_corpus`, which stores how many there are in all.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import functools
 import heapq
 import multiprocessing
 import os
-from dataclasses import dataclass, replace
-from operator import itemgetter
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .congruence import Congruence, NotACongruence, induced_congruence, quotient
@@ -107,10 +106,10 @@ class VerificationReport:
     """One check's witnesses and counts, on one table or folded over
     many.  Its verdict is derived from them: violated when it has a
     witness, verified when it counts a table that met the check's
-    premises (`applicable`), and not-applicable otherwise.  A report
-    that lists fewer witnesses than it counts (`summarize_corpus`)
-    stores their number as `total`; otherwise it is None, the list being
-    complete."""
+    premises (`applicable`), and not-applicable otherwise.  A corpus
+    report lists the witnesses of the least labeled tables; one that
+    lists fewer than it counts (`summarize_corpus`) stores their number
+    as `total`; otherwise it is None, the list being complete."""
 
     check: str
     witnesses: tuple = ()
@@ -353,7 +352,7 @@ def strictness_witnesses() -> list[tuple[str, str, bool]]:
     return out
 
 
-# `verify_corpus` checks one table per isomorphism-and-mirror class, so
+# The corpus reports check one table per isomorphism-and-mirror class, so
 # each check must report the same verdict and counts on a table and on
 # its transpose; tests/test_decomposition.py checks that for every entry.
 CHECKS = {
@@ -372,8 +371,9 @@ CHECK_IDS = tuple(CHECKS)
 
 _ALIASES = {"t10": "t6"}
 
-# witnesses printed per report; a `verify_corpus` report keeps them all,
-# a `summarize_corpus` report lists only these and stores their total
+# witnesses printed per report; the member merge of `_corpus` lists only
+# these in a `summarize_corpus` report, which stores their total, and
+# every witness in a `verify_corpus` report
 _WITNESSES_SHOWN = 5
 
 
@@ -400,33 +400,19 @@ def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
     return VerificationReport(check, tuple(witnesses), tuple(sorted(counts.items())))
 
 
-def _check_class(ids, item) -> tuple:
-    """One report per check in `ids` for the `size` labeled tables that
-    the table `grid` stands for, `item` being (grid, size): its
-    isomorphism-and-mirror class in `verify_corpus`, the table itself
-    (size 1) in `run_checks` and `summarize_corpus`.  Every check is
-    invariant under relabeling and transposing, so each report has the
-    table's verdict and its counts times `size`.  The class's members
-    are built only where the table yields a witness and stands for more
-    than itself; then the report also holds each other member's own
-    witnesses, in member order.  Each witness is tagged with its table,
-    so aggregated reports stay re-checkable."""
-    grid, size = item
+def _check_table(ids, grid: tuple) -> tuple:
+    """One report per check in `ids` on the table `grid`, each witness
+    tagged with the grid, so aggregated reports stay re-checkable."""
     # A fresh table, not the caller's: its facts are dropped with it after
     # its checks, so a corpus run does not keep every table's facts and a
     # second run computes them again.
     s = CayleyTable(grid)
-    reports = [CHECKS[check_id](s) for check_id in ids]
-    others = []
-    if size > 1 and any(r.witnesses for r in reports):
-        others = _orbit(s, "iso_anti")[1:]
     out = []
-    for check_id, r in zip(ids, reports):
-        witnesses = [(grid, w) for w in r.witnesses]
-        for m in others if witnesses else ():
-            witnesses.extend((m.rows, w) for w in CHECKS[check_id](m).witnesses)
-        counts = tuple((k, v * size) for k, v in r.counts)
-        out.append(VerificationReport(r.check, tuple(witnesses), counts))
+    for check_id in ids:
+        r = CHECKS[check_id](s)
+        out.append(
+            VerificationReport(r.check, tuple((grid, w) for w in r.witnesses), r.counts)
+        )
     return tuple(out)
 
 
@@ -446,31 +432,27 @@ def _map(fn, items: list, workers: int) -> list:
         return pool.map(fn, items)
 
 
-def _check_all(ids, items: list, workers: int) -> list[VerificationReport]:
-    """`_check_class` on every (grid, size) item, through `_map`, merged
-    per check in item order; not-applicable reports for no items."""
-    ids = list(ids)
-    per_class = _map(functools.partial(_check_class, ids), items, workers)
-    if not per_class:
-        return [VerificationReport(check_id) for check_id in ids]
-    return [merge_reports(reports) for reports in zip(*per_class)]
-
-
 def run_checks(
     tables: Iterable[CayleyTable], ids: Sequence[str], workers: int = 1
 ) -> list[VerificationReport]:
     """Run the named checks over the tables and aggregate one report per
     check.  With workers > 1 a pool checks the tables, one table per
     task, and the reports are merged in table order, so the output is
-    identical to a single-worker run."""
-    return _check_all(ids, [(t.rows, 1) for t in tables], workers)
+    identical to a single-worker run; no tables give not-applicable
+    reports."""
+    ids = list(ids)
+    grids = [t.rows for t in tables]
+    per_table = _map(functools.partial(_check_table, ids), grids, workers)
+    if not per_table:
+        return [VerificationReport(check_id) for check_id in ids]
+    return [merge_reports(reports) for reports in zip(*per_table)]
 
 
 def verify_corpus(
     n: int, ids: Sequence[str], workers: int = 1
 ) -> list[VerificationReport]:
     """The reports of `run_checks` over every labeled table of order n,
-    computed on one table per isomorphism-and-mirror class.
+    computed on one table per isomorphism-and-mirror class (`_corpus`).
 
     Every check is invariant under relabeling and transposing, so a
     class's members all report what its representative does: each
@@ -478,9 +460,9 @@ def verify_corpus(
     class size, the members of both isomorphism orbits, which the fill
     counts along with the representative (`_classes`), and only a class
     with a witness is expanded into its members, for their own
-    witnesses.  With workers > 1 a pool checks the classes, one class
-    per task.  Sorting the tagged witnesses by grid restores the labeled
-    stream's order.
+    witnesses, merged in labeled order as the labeled stream lists them.
+    With workers > 1 a pool checks the representatives, one class per
+    task, and the members are checked in this process.
 
     Why transposing is a symmetry.  Transposing a table T into T' swaps
     the left kernels L and the right kernels R, so the pairs B on which
@@ -513,21 +495,7 @@ def verify_corpus(
     rel & R[a].  p11, p14 and square-descent give at most one, for a
     failing conclusion, and diagram one per implication whose hypothesis
     holds and conclusion fails."""
-    classes = [(s.rows, size) for s, size in _classes(n, "iso_anti")]
-    return [
-        replace(r, witnesses=tuple(sorted(r.witnesses, key=itemgetter(0))))
-        for r in _check_all(ids, classes, workers)
-    ]
-
-
-def _members(grid: tuple, i: int):
-    """(rows, i, table) for each member of the isomorphism-and-mirror
-    class of the canonical table `grid`, in labeled order: first `grid`
-    itself, the least member, with None for its table, then the others,
-    built only once the second is asked for."""
-    yield grid, i, None
-    for m in _orbit(CayleyTable(grid), "iso_anti")[1:]:
-        yield m.rows, i, m
+    return _corpus(n, ids, workers, None)
 
 
 def summarize_corpus(
@@ -535,24 +503,33 @@ def summarize_corpus(
 ) -> list[VerificationReport]:
     """The reports of `verify_corpus(n, ids, workers)` as `format_report`
     prints them: the same counts, the first `_WITNESSES_SHOWN` witnesses,
-    and the total where it is more.
+    and the total where it is more.  Every member has as many witnesses
+    as its representative (`verify_corpus` says why), so the totals come
+    from the representatives, and the member merge of `_corpus` stops
+    once each report lists what it shows."""
+    return _corpus(n, ids, workers, _WITNESSES_SHOWN)
+
+
+def _corpus(
+    n: int, ids: Sequence[str], workers: int, shown: Optional[int]
+) -> list[VerificationReport]:
+    """The reports over every labeled table of order n, each listing the
+    witnesses of the least labeled tables, `shown` of them or, with
+    None, all, and storing their total where it is more.
 
     Each class is checked on its representative only, one class per
-    pool task, and its counts are weighted by the class size.  Every
-    member has as many witnesses as its representative (`verify_corpus`
-    says why), so a check's total is the sum of each representative's
-    count times its class size.  The witnesses listed are those of the
-    least labeled tables: the members of the classes with a witness are
-    merged in labeled order, and each member after a representative is
-    built once and checked for every check that still lists fewer than
-    it shows, until none does."""
+    pool task, and its counts are weighted by the class size; a check's
+    total is the sum of each representative's witness count times its
+    class size.  The members of the classes with a witness are merged
+    in labeled order, and each member after a representative is built
+    once and checked for every check that has witnesses on its class
+    and still lists fewer than it shows, until none does."""
     ids = list(ids)
     grids, sizes = zip(*[(s.rows, size) for s, size in _classes(n, "iso_anti")])
-    items = [(grid, 1) for grid in grids]
-    per_class = _map(functools.partial(_check_class, ids), items, workers)
+    per_class = _map(functools.partial(_check_table, ids), grids, workers)
     columns = list(zip(*per_class))  # per check, its report on each class
     totals = [sum(len(r.witnesses) * k for r, k in zip(c, sizes)) for c in columns]
-    wanted = [min(total, _WITNESSES_SHOWN) for total in totals]
+    wanted = totals if shown is None else [min(t, shown) for t in totals]
     listed: list[list] = [[] for _ in ids]
     members = heapq.merge(
         *(
@@ -562,7 +539,9 @@ def summarize_corpus(
         )
     )
     while any(len(out) < k for out, k in zip(listed, wanted)):
-        grid, i, member = next(members)
+        grid, i = next(members)
+        # one table per member for all its checks, let go once they are done
+        member = None if grid == grids[i] else CayleyTable(grid)
         for r, out, k in zip(per_class[i], listed, wanted):
             if r.witnesses and len(out) < k:
                 if member is None:
@@ -570,21 +549,31 @@ def summarize_corpus(
                 else:
                     out.extend((grid, w) for w in CHECKS[r.check](member).witnesses)
     reports = []
-    for col, out, total in zip(columns, listed, totals):
+    for col, out, total, k in zip(columns, listed, totals, wanted):
         counts: dict[str, int] = {}
-        for r, k in zip(col, sizes):
+        for r, size in zip(col, sizes):
             for key, v in r.counts:
-                counts[key] = counts.get(key, 0) + v * k
-        shown = tuple(out[:_WITNESSES_SHOWN])
+                counts[key] = counts.get(key, 0) + v * size
         reports.append(
             VerificationReport(
                 col[0].check,
-                shown,
+                tuple(out[:k]),
                 tuple(sorted(counts.items())),
-                total if total > len(shown) else None,
+                total if total > k else None,
             )
         )
     return reports
+
+
+def _members(grid: tuple, i: int):
+    """(rows, i) for each member of the isomorphism-and-mirror class of
+    the canonical table `grid`, in labeled order: first `grid` itself,
+    the least member, then the others, listed only once the second is
+    asked for.  Rows, not tables: the merge holds no table, so the
+    caller's table of a member dies, with its facts, after its checks."""
+    yield grid, i
+    for rows in [m.rows for m in _orbit(CayleyTable(grid), "iso_anti")[1:]]:
+        yield rows, i
 
 
 def format_report(r: VerificationReport) -> str:

@@ -1,6 +1,7 @@
 from collections import Counter
 from dataclasses import fields
 from itertools import permutations
+import weakref
 
 import pytest
 
@@ -32,10 +33,12 @@ from finsemi.decomposition import (
     CHECK_IDS,
     CHECKS,
     VerificationReport,
+    _WITNESSES_SHOWN,
     _report,
     diagram_report,
     merge_reports,
     normalize_check_id,
+    summarize_corpus,
     verify_balanced_cancellation,
     verify_cancellative_components,
     verify_class_separation,
@@ -609,7 +612,8 @@ def test_verify_corpus_builds_orbits_only_for_witnessed_classes(monkeypatch):
 def test_verify_corpus_expands_every_witnessed_class(monkeypatch):
     # Whether a table commutes does not depend on its labeling, but the
     # first non-commuting pair does; a check that reports it has a witness
-    # on every class that is not commutative, beside the two t6 classes
+    # on every class that is not commutative, beside the two t6 classes,
+    # so the capped merge of `summarize_corpus` runs over many classes
     def noncommuting(s):
         ok, w = _commutative_with_witness(s)
         return _report("noncommuting", [] if ok else [w], tables=1)
@@ -622,6 +626,32 @@ def test_verify_corpus_expands_every_witnessed_class(monkeypatch):
         assert reports == run_checks(labeled, ids)
         noncommutative = [s for s in labeled if not is_commutative(s)]
         assert len(reports[0].witnesses) == len(noncommutative)
+        short = summarize_corpus(n, ids)[0]
+        assert short.counts == reports[0].counts
+        assert short.witnesses == reports[0].witnesses[:_WITNESSES_SHOWN]
+        assert (short.total or len(short.witnesses)) == len(noncommutative)
+
+
+def test_verify_corpus_drops_each_member_once_checked(monkeypatch):
+    # a member's facts die with its checks: when a decomposition is built,
+    # no earlier one is alive, so the expanded members of a witnessed
+    # class (47 at order 4) are never held together
+    import finsemi.decomposition as decomposition
+
+    original = decomposition.decompose
+    built = []
+    alive = []
+
+    def tracking(s):
+        alive.append(sum(ref() is not None for ref in built))
+        d = original(s)
+        built.append(weakref.ref(d))
+        return d
+
+    monkeypatch.setattr(decomposition, "decompose", tracking)
+    verify_corpus(4, CHECK_IDS)
+    assert len(built) == 126 + 48 - 1
+    assert max(alive) == 0
 
 
 def test_run_checks_on_no_tables_is_not_applicable():
