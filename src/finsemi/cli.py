@@ -19,7 +19,14 @@ import sys
 
 from . import zoo
 from .congruence import induced_congruence
-from .core import CayleyTable, FormatError, _integer, format_table, parse_table
+from .core import (
+    CayleyTable,
+    FormatError,
+    _integer,
+    _row_line,
+    format_table,
+    parse_table,
+)
 from .decomposition import (
     CHECK_IDS,
     decompose,
@@ -30,7 +37,13 @@ from .decomposition import (
     strictness_witnesses,
     summarize_corpus,
 )
-from .enumeration import MAX_CLASS_ORDER, enumerate_canonical, enumerate_labeled
+from .enumeration import (
+    MAX_CLASS_ORDER,
+    _labeled_keys,
+    _leader_keys,
+    _table,
+    enumerate_labeled,
+)
 from .properties import PROFILE_KEYS, _holds, classify, format_profile
 from .relations import (
     BinaryRelation,
@@ -221,21 +234,21 @@ def cmd_enumerate(args) -> int:
         raise ValueError(
             f"unknown property {args.filter!r}; choose from {', '.join(PROFILE_KEYS)}"
         )
-    stream = (
-        enumerate_canonical(args.order, args.mode or "iso_anti")
-        if args.canonical
-        else enumerate_labeled(args.order)
-    )
+    # flat row-major byte keys; a table is built only for the filter
+    n = args.order
+    if args.canonical:
+        keys = (key for key, _ in _leader_keys(n, args.mode or "iso_anti"))
+    else:
+        keys = _labeled_keys(n)
     if args.filter is not None:
-        stream = (s for s in stream if _holds(s, args.filter)[0])
-    count = 0
-    for s in stream:
-        count += 1
-        if not args.count_only:
-            sys.stdout.write(format_table(s))
-            sys.stdout.write("\n")
+        keys = (key for key in keys if _holds(_table(key, n), args.filter)[0])
     if args.count_only:
-        print(count)
+        print(sum(1 for _ in keys))
+        return 0
+    # each table in one write, its text as `format_table` gives it
+    head, starts, write = f"{n}\n", range(0, n * n, n), sys.stdout.write
+    for key in keys:
+        write(head + "".join([_row_line(key[i : i + n]) for i in starts]) + "\n")
     return 0
 
 

@@ -10,15 +10,22 @@ cell is an inner product, (r, c, z) and (x, r, c).  The exhaustive fill
 tries the values in order and streams the lex leaders: the tables that
 are their own canonical form, one per class.  It drops a partial table
 as soon as a relabeling of it is smaller, and remembers no earlier
-class.  Each leader comes with the number of relabelings that map it
+class.  Every leader has 0 in cell (0, 0), since relabeling an
+idempotent to 0 puts 0 there, so the fill tries only 0 at the first
+cell; a relabeling that sends some a != 0 to 0 then ties at the first
+position exactly when a is idempotent, so those relabelings wait as one
+block on the diagonal cell (a, a) and are dropped together at any other
+value.  Each leader comes with the number of relabelings that map it
 onto itself, which the fill finds by comparing them with the complete
 table, so a class's orbit size needs no orbit.  Canonical forms minimize
 over all relabelings and, optionally, over the transpose, so mirror
 images share one.  The labeled tables are the union of the isomorphism
 classes, which are disjoint: the labeled stream relabels each class
-representative and sorts the members of all classes.  A random draw
-takes the first value that fits in a random order and starts again at a
-cell that none fits.
+representative and sorts the members of all classes.  Both streams are
+flat row-major byte keys (`_leader_keys`, `_labeled_keys`), which
+`enumerate` prints and counts as they are; the public streams build a
+table from each key.  A random draw takes the first value that fits in
+a random order and starts again at a cell that none fits.
 """
 
 from __future__ import annotations
@@ -116,10 +123,11 @@ def _fits(t, at, r, c, values) -> Iterator[int]:
     tr[c] = -1
 
 
-def _fills(n: int, relabelings) -> Iterator[tuple[CayleyTable, int]]:
+def _fills(n: int, relabelings) -> Iterator[tuple[bytes, int]]:
     """The associative n x n tables that are <= each of `relabelings` of
-    themselves, filled cell by cell in row-major order, each with the
-    number of `relabelings` that map it onto itself (its ties).
+    themselves, filled cell by cell in row-major order, as flat row-major
+    byte keys, each with the number of `relabelings` that map it onto
+    itself (its ties).
 
     `relabelings` lists records as `_each_relabeling` builds them,
     without the identity (so it is empty only for n = 1 in "iso" mode).
@@ -133,26 +141,43 @@ def _fills(n: int, relabelings) -> Iterator[tuple[CayleyTable, int]]:
     complete table that slot holds the ties: with the identity they are
     the table's stabilizer, and the orbit has len(relabelings) + 1 over
     ties + 1 members (orbit-stabilizer).
+
+    Every table kept has t[0][0] = 0.  A finite semigroup has an
+    idempotent e, and a relabeling pi with pi(e) = 0 puts pi(e*e) = 0 in
+    cell (0, 0); the table is <= that relabeling, so its cell (0, 0) is
+    0 too.  (The transpose has the same diagonal, so this holds in
+    "iso_anti" mode as well.)  So `_fill` tries only 0 at cell 0.
+    Position 0 of a relabeling with source a = pi^-1(0) reads
+    pi(t[a][a]), from the diagonal cell (a, a).  When a = 0 it is
+    pi(0) = 0, a tie, and the relabeling waits on cell 0 as any other.
+    When a != 0 it equals t[0][0] = 0, a tie, exactly when t[a][a] = a,
+    and is above 0 otherwise, so the relabeling compares greater whatever
+    the later cells hold.  These relabelings wait as one block per diagonal
+    cell, `blocks[a*n + a]`: when the cell takes the value a the block
+    resumes from position 0 with the relabelings due there, and for any
+    other value it is dropped with no work per relabeling.
     """
     t = [[-1] * n for _ in range(n)]
     last = n * n
     flat = [-1] * last  # the accepted cells of t in row-major order
     at = [[] for _ in range(n)]  # the accepted cells (x, y) holding each value
     waiting = [[] for _ in range(last + 1)]
+    # the relabelings with pi(0) != 0, by their diagonal cell src[0]
+    blocks = [[] for _ in range(last)]
     for perm, src, _, _ in relabelings:
-        waiting[src[0]].append((perm, src, 0))
-    return _fill(0, t, flat, at, waiting)
+        (blocks[src[0]] if src[0] else waiting[0]).append((perm, src, 0))
+    return _fill(0, t, flat, at, waiting, blocks)
 
 
-def _resume(k: int, flat: list[int], waiting) -> Optional[list[int]]:
-    """Resume every relabeling waiting on cell k and park it on the next
+def _resume(k: int, flat: list[int], waiting, due) -> Optional[list[int]]:
+    """Resume the relabelings `due` at cell k and park each on the next
     cell it needs, or on the slot after the last cell once it ties through
     that cell (possible only at the last cell, k = n*n - 1); the slots
     parked on, or None (and nothing parked) when one relabeling is already
     smaller than the table."""
     last = len(flat)
     parked = []
-    for perm, src, pos in waiting[k]:
+    for perm, src, pos in due:
         while True:
             a = flat[pos]
             b = perm[flat[src[pos]]]
@@ -173,39 +198,53 @@ def _resume(k: int, flat: list[int], waiting) -> Optional[list[int]]:
     return parked
 
 
-def _fill(k: int, t, flat, at, waiting) -> Iterator[tuple[CayleyTable, int]]:
+def _fill(k: int, t, flat, at, waiting, blocks) -> Iterator[tuple[bytes, int]]:
     """The completions of the table t, whose cells before k are filled,
-    each with its ties.  The search state, the value index `at` included,
-    is passed down, not closed over, so no frame of a finished or dropped
-    stream is kept alive by a reference cycle."""
+    as byte keys, each with its ties.  Cell 0 takes only the value 0, and
+    the block of a diagonal cell (a, a) resumes only when the cell takes
+    the value a (see `_fills`).  The search state, the value index `at`
+    included, is passed down, not closed over, so no frame of a finished
+    or dropped stream is kept alive by a reference cycle."""
     if k == len(flat):
-        yield _table(bytes(flat), len(t)), len(waiting[k])
+        yield bytes(flat), len(waiting[k])
         return
     n = len(t)
     r, c = divmod(k, n)
     due = waiting[k]
-    for v in _fits(t, at, r, c, range(n)):
+    block = blocks[k]
+    for v in _fits(t, at, r, c, range(n) if k else range(1)):
         flat[k] = v
-        parked = _resume(k, flat, waiting) if due else ()
+        resumed = due + block if block and v == r else due
+        parked = _resume(k, flat, waiting, resumed) if resumed else ()
         if parked is not None:
             at[v].append((r, c))
-            yield from _fill(k + 1, t, flat, at, waiting)
+            yield from _fill(k + 1, t, flat, at, waiting, blocks)
             at[v].pop()
             for w in parked:
                 waiting[w].pop()
 
 
-def enumerate_labeled(n: int) -> Iterator[CayleyTable]:
-    """Yield every associative n x n table exactly once, in lexicographic
-    row-major order: the orbits of the isomorphism classes, sorted as
-    byte keys and built as tables only as they are yielded.  Classes are
-    disjoint, so no repeat is dropped across them."""
+def _labeled_keys(n: int) -> list[bytes]:
+    """Every associative n x n table exactly once, as a flat row-major
+    byte key, in lexicographic order: the orbits of the isomorphism
+    classes, read from their leaders' keys and sorted together.  Classes
+    are disjoint, so no repeat is dropped across them."""
     _check_order(n, MAX_LABELED_ORDER)
     keys = []
-    for rep in enumerate_canonical(n, "iso"):
-        keys += set(_relabeled(rep, "iso"))
+    for key, _ in _leader_keys(n, "iso"):
+        keys += set(_relabeled_keys(key, n, "iso"))
     keys.sort()
-    for key in keys:
+    return keys
+
+
+def enumerate_labeled(n: int) -> Iterator[CayleyTable]:
+    """Yield every associative n x n table exactly once, in lexicographic
+    row-major order: `_labeled_keys(n)`, built as tables only as they are
+    yielded.  Every key is found and sorted before the first table is
+    yielded, so a reader of a prefix pays for the whole order (a heap
+    merge of the orbits yields sooner but took longer over a whole
+    stream)."""
+    for key in _labeled_keys(n):
         yield _table(key, n)
 
 
@@ -269,16 +308,21 @@ def _relabelings(n: int, mode: str) -> tuple:
     return tuple(_each_relabeling(n, mode))
 
 
-def _relabeled(s: CayleyTable, mode: str) -> list[bytes]:
-    """Every relabeling of `s` (and of its transpose in "iso_anti" mode)
-    as a flat row-major byte key, repeats included; byte order is the
-    tables' lexicographic order, the values being below 256."""
-    n, key = s.n, bytes(chain.from_iterable(s.rows))
+def _relabeled_keys(key: bytes, n: int, mode: str) -> list[bytes]:
+    """Every relabeling of the table with flat row-major byte key `key`
+    (and of its transpose in "iso_anti" mode) as a key, repeats included;
+    byte order is the tables' lexicographic order, the values being below
+    256."""
     if n <= MAX_CLASS_ORDER:
         records = _relabelings(n, mode)
     else:
         records = _each_relabeling(n, mode)
     return [bytes(getter(key)).translate(values) for _, _, getter, values in records]
+
+
+def _relabeled(s: CayleyTable, mode: str) -> list[bytes]:
+    """`_relabeled_keys` of the table `s`."""
+    return _relabeled_keys(bytes(chain.from_iterable(s.rows)), s.n, mode)
 
 
 def _table(key: bytes, n: int) -> CayleyTable:
@@ -307,17 +351,26 @@ def _orbit(rep: CayleyTable, mode: str) -> list[CayleyTable]:
     return [_table(key, rep.n) for key in sorted(set(_relabeled(rep, mode)))]
 
 
-def _classes(n: int, mode: str) -> Iterator[tuple[CayleyTable, int]]:
-    """`enumerate_canonical(n, mode)`, each representative with its
-    orbit size: the number of labeled tables in its class, which is the
-    number of relabelings over the number that map it onto itself, n!
-    over its automorphism count in "iso" mode.  The fill counts the
-    relabelings that tie with each representative, so no orbit is built."""
+def _leader_keys(n: int, mode: str) -> Iterator[tuple[bytes, int]]:
+    """The lex leaders of order n, one per class, as flat row-major byte
+    keys in the fill's order, each with its orbit size: the number of
+    labeled tables in its class, which is the number of relabelings over
+    the number that map it onto itself, n! over its automorphism count
+    in "iso" mode.  The fill counts the relabelings that tie with each
+    leader, so no orbit is built.  The order and the mode are checked on
+    the call, before the first key is asked for."""
     _check_order(n, MAX_CLASS_ORDER)
     relabelings = _relabelings(n, mode)
+    size = len(relabelings)
     # the first relabeling is the identity, which every table ties with
-    for rep, ties in _fills(n, relabelings[1:]):
-        yield rep, len(relabelings) // (ties + 1)
+    return ((key, size // (ties + 1)) for key, ties in _fills(n, relabelings[1:]))
+
+
+def _classes(n: int, mode: str) -> Iterator[tuple[CayleyTable, int]]:
+    """`enumerate_canonical(n, mode)`, each representative with its
+    orbit size (`_leader_keys`)."""
+    for key, size in _leader_keys(n, mode):
+        yield _table(key, n), size
 
 
 def enumerate_canonical(n: int, mode: str = "iso_anti") -> Iterator[CayleyTable]:
@@ -333,5 +386,5 @@ def enumerate_canonical(n: int, mode: str = "iso_anti") -> Iterator[CayleyTable]
     cuts every branch that a relabeling already undercuts, so it never
     builds most labeled tables; no memory of earlier classes is kept.
     """
-    for rep, _ in _classes(n, mode):
-        yield rep
+    for key, _ in _leader_keys(n, mode):
+        yield _table(key, n)

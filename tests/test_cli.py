@@ -5,11 +5,21 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 
 import finsemi
-from finsemi import PROFILE_KEYS, classify, format_table, parse_table, run_checks
+from finsemi import (
+    PROFILE_KEYS,
+    CayleyTable,
+    classify,
+    enumerate_canonical,
+    enumerate_labeled,
+    format_table,
+    parse_table,
+    run_checks,
+)
 from finsemi import cli
 from finsemi.cli import load_table, main
 from finsemi.decomposition import CHECK_IDS, summarize_corpus, verify_corpus
@@ -403,6 +413,51 @@ def test_enumerate_stream_round_trips(capsys):
     assert tuple(t.rows for t in tables) == tuple(
         s.rows for s in oracles.labeled_corpus(2)
     )
+
+
+def _oracle_stream(tables) -> str:
+    return "".join(oracles.format_table(rows) + "\n" for rows in tables)
+
+
+def _oracle_leaders(n, mode):
+    # the brute-force tables that are <= every relabeling of themselves
+    # (and of their transposes in iso_anti mode), in lexicographic order
+    perms = list(permutations(range(n)))
+    leaders = []
+    for rows in sorted(oracles.brute_force_semigroups(n)):
+        bases = [rows] + ([tuple(zip(*rows))] if mode == "iso_anti" else [])
+        if all(rows <= oracles.relabel(b, p) for b in bases for p in perms):
+            leaders.append(rows)
+    return leaders
+
+
+def test_enumerate_prints_the_oracle_format(capsys):
+    # the streams printed from byte keys, against the oracle's format of
+    # the tables: brute force through order 3, the table streams at 4
+    def quasi_separative(rows):
+        return oracles.literal_quasi_separative(CayleyTable(rows))[0]
+
+    for n in (1, 2, 3, 4):
+        if n <= 3:
+            streams = {(): sorted(oracles.brute_force_semigroups(n))}
+            for mode in ("iso", "iso_anti"):
+                streams["--canonical", "--mode", mode] = _oracle_leaders(n, mode)
+        else:
+            streams = {(): [s.rows for s in enumerate_labeled(n)]}
+            for mode in ("iso", "iso_anti"):
+                tables = [s.rows for s in enumerate_canonical(n, mode)]
+                streams["--canonical", "--mode", mode] = tables
+        for options, tables in streams.items():
+            argv = ("enumerate", "--order", str(n), *options)
+            out = _oracle_stream(tables)
+            assert run_cli(capsys, *argv) == (0, out, ""), argv
+            argv += ("--filter", "quasi_separative")
+            out = _oracle_stream(filter(quasi_separative, tables))
+            assert run_cli(capsys, *argv) == (0, out, ""), argv
+        # OEIS A023814
+        count = f"{(1, 8, 113, 3492)[n - 1]}\n"
+        argv = ("enumerate", "--order", str(n), "--count-only")
+        assert run_cli(capsys, *argv) == (0, count, ""), argv
 
 
 def test_enumerate_filter(capsys):

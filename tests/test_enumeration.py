@@ -135,12 +135,26 @@ def test_canonical_stream_yields_canonical_representatives():
                 min(oracles.relabel(s.transpose().rows, p) for p in perms),
             )
             for mode, m in least.items():
+                # the fill keeps only tables with 0 at (0, 0)
+                assert m[0][0] == 0
                 assert canonical_form(s, mode).rows == m
                 if s.rows <= m:
                     leaders[mode].append(s.rows)
         for mode, expected in leaders.items():
             assert [s.rows for s in enumerate_canonical(n, mode)] == expected
             assert len(expected) == counts[mode][n - 1]
+
+
+def test_every_least_relabeling_has_zero_at_the_first_cell():
+    # the premise of the fill's first cell, on the oracle's tables: every
+    # associative table of order <= 3, found by filtering all grids, has a
+    # least relabeling (of it or of its transpose) with 0 at (0, 0)
+    for n in (1, 2, 3):
+        perms = list(permutations(range(n)))
+        for rows in oracles.brute_force_semigroups(n):
+            iso = min(oracles.relabel(rows, p) for p in perms)
+            mirror = min(oracles.relabel(tuple(zip(*rows)), p) for p in perms)
+            assert iso[0][0] == min(iso, mirror)[0][0] == 0, rows
 
 
 def test_canonical_counts_order5_against_published_counts():
