@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CayleyTable
+from .core import CayleyTable, _sub_table
 from .relations import BinaryRelation, _kernels
 
 
@@ -118,11 +118,14 @@ def least_semilattice_congruence(s: CayleyTable) -> Congruence:
 def quotient(s: CayleyTable, c: Congruence) -> CayleyTable:
     """The quotient table over class indices (ordered by minimal
     representative), confirmed not to depend on representatives, so a
-    homomorphic image: associative, and not scanned again."""
+    homomorphic image: associative, and not scanned again.  Its entries
+    are class indices, in the carrier by construction, so it is built by
+    `core._sub_table` without the entry scan, and while a run of checks
+    lasts it is one table with every equal quotient or component."""
     reps = [cls[0] for cls in c.classes]
     cls_of = c.class_of
     rows = s.rows
-    q = [[cls_of[rows[a][b]] for b in reps] for a in reps]
+    q = tuple(tuple([cls_of[rows[a][b]] for b in reps]) for a in reps)
     for x in range(s.n):
         qx = q[cls_of[x]]
         for y in range(s.n):
@@ -130,5 +133,5 @@ def quotient(s: CayleyTable, c: Congruence) -> CayleyTable:
                 raise NotACongruence(
                     (x, y), "product class depends on the choice of representatives"
                 )
-    return CayleyTable(q)
+    return _sub_table(q)
 

@@ -8,16 +8,19 @@ table keeps the facts other modules derive from it (equalizer kernels,
 canonical relation, the classifier verdicts of `properties`,
 decomposition), each under the function that computes it: `fact`
 computes one on first use and keeps it as long as the table; this module
-defines no classifier.  `adjoin_identity` returns a plain table whose
+defines no classifier.  While a run of checks lasts (`_sharing`), equal
+component and quotient tables are one table (`_sub_table`), so their
+facts are computed once per run.  `adjoin_identity` returns a plain table whose
 fresh identity is the last element n.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import re
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Optional
 
 
 class OutOfRangeEntry(ValueError):
@@ -49,17 +52,23 @@ class CayleyTable:
     job of `validate`, for user grids, files and zoo tables; transposes,
     adjoined identities, enumerated tables, `decompose`'s components
     (closed subsets) and `quotient`s (homomorphic images) skip it.
-    Every table that `enumeration` gives out skips the closure check too:
-    the fill's complete tables, random draws, the labeled stream,
-    canonical forms and the members of a class.  Each is read from a flat
-    byte key by `enumeration._table`, the one caller of `_closed`.  A key
-    is a complete fill, exhaustive or random, whose cells all hold values
-    below n, or relabels a table that passed the check, so it has that
-    table's n*n entries, each a value below n mapped by a permutation of
-    {0, ..., n-1}; its rows are tuples of ints in the carrier.
+    `_closed` skips the closure check too, for rows known to be square
+    tuples of int tuples in the carrier.  Its callers:
+    - `enumeration._table`, for every table `enumeration` gives out (the
+      fill's complete tables, random draws, the labeled stream, canonical
+      forms and the members of a class).  Each is read from a flat byte
+      key, which is a complete fill, exhaustive or random, whose cells
+      all hold values below n, or relabels a table that passed the
+      check, so it has that table's n*n entries, each a value below n
+      mapped by a permutation of {0, ..., n-1}.
+    - `_sub_table`, for `decompose`'s components, which hold the local
+      index of a product within a closed class, and for `quotient`s,
+      which hold class indices.
+    - `decomposition._check_table` and the member merge of `_corpus`,
+      whose grids are the rows of a `CayleyTable`.
     """
 
-    __slots__ = ("n", "rows", "_facts")
+    __slots__ = ("n", "rows", "_facts", "__weakref__")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rows = tuple(tuple(r) for r in rows)
@@ -108,6 +117,40 @@ class CayleyTable:
 
     def __repr__(self) -> str:
         return f"CayleyTable({[list(r) for r in self.rows]})"
+
+
+# The sub-tables of the run in progress by their rows, or None outside a
+# run (`_sharing`).
+_sub_tables: Optional[dict] = None
+
+
+@contextlib.contextmanager
+def _sharing():
+    """Within the block, `_sub_table` gives equal rows one table, so its
+    facts are computed once; leaving the block, also by an exception,
+    lets every such table go.  A fact depends on the rows alone, so
+    sharing changes no result: processes forked inside the block fill
+    their own copy of the tables built so far, and spawned ones, which
+    share none, build fresh tables with the same facts."""
+    global _sub_tables
+    _sub_tables = {}
+    try:
+        yield
+    finally:
+        _sub_tables = None
+
+
+def _sub_table(rows: tuple) -> CayleyTable:
+    """The table of `rows`, a square tuple of int tuples in the carrier
+    (see `CayleyTable._closed`): a component or quotient table of
+    `decompose`, shared with every equal one while a `_sharing` block
+    runs, and fresh outside one."""
+    if _sub_tables is None:
+        return CayleyTable._closed(rows)
+    s = _sub_tables.get(rows)
+    if s is None:
+        s = _sub_tables[rows] = CayleyTable._closed(rows)
+    return s
 
 
 def validate(grid: Iterable[Iterable[int]]) -> CayleyTable:

@@ -6,7 +6,11 @@ functions each check one structural claim on a single table and report
 verified / violated / not-applicable with re-checkable witnesses.  They
 read the decomposition and the classifier verdicts as facts of the table
 (`s.fact(decompose)`), so each is computed once per table, a component's
-once per component table.  Corpus aggregation and the open counterexample
+once per component table.  While one run of checks lasts (`run_checks`,
+`_corpus`), equal component and quotient tables, of one table or of
+many, are one table (`core._sharing`), so a run computes their facts once
+per distinct grid; they are let go when the run ends, and a second run
+computes them again.  Corpus aggregation and the open counterexample
 search live here too: `verify_corpus` and `summarize_corpus` report on
 every labeled table of an order from one table per isomorphism-and-mirror
 class, each count weighted by the class's size (both of its isomorphism
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .congruence import Congruence, NotACongruence, induced_congruence, quotient
-from .core import CayleyTable
+from .core import CayleyTable, _sharing, _sub_table
 from .enumeration import (
     MAX_CLASS_ORDER,
     _check_order,
@@ -36,7 +40,7 @@ from .enumeration import (
     _orbit,
     enumerate_canonical,
 )
-from .properties import PropertyProfile, _holds, classify, is_semilattice
+from .properties import PropertyProfile, _holds, is_semilattice
 from .relations import (
     BinaryRelation,
     _kernels,
@@ -81,10 +85,15 @@ def decompose(s: CayleyTable) -> SemilatticeDecomposition:
     holds (a class not closed under the product appears as None, and the
     semilattice flag may be False).  Class i is closed iff i*i = i in the
     quotient, which holds the class of every product of two members; a
-    closed class is a subsemigroup, so its table skips `validate`.  The
-    canonical relation induces a congruence on every table (the proof is
-    in `canonical_relation`), so this does not raise.  Each call
-    decomposes afresh; the checks read the fact `s.fact(decompose)`.
+    closed class is a subsemigroup, so its table skips `validate`, and
+    each of its entries is the local index of a product in the class, so
+    it skips the entry scan too (`core._sub_table`).  The canonical
+    relation induces a congruence on every table (the proof is in
+    `canonical_relation`), so this does not raise.  Each call decomposes
+    afresh; the checks read the fact `s.fact(decompose)`.  While a run of
+    checks lasts (`run_checks`, `_corpus`), equal components and
+    quotients, of this table or any other, are one table, whose facts
+    are computed once in the run.
     """
     rel = s.fact(canonical_relation)
     cong = induced_congruence(s, rel)
@@ -94,8 +103,8 @@ def decompose(s: CayleyTable) -> SemilatticeDecomposition:
     for i, cls in enumerate(cong.classes):
         if qrows[i][i] == i:
             local = {g: j for j, g in enumerate(cls)}
-            sub = [[local[rows[x][y]] for y in cls] for x in cls]
-            components.append(CayleyTable(sub))
+            sub = tuple(tuple([local[rows[x][y]] for y in cls]) for x in cls)
+            components.append(_sub_table(sub))
         else:
             components.append(None)
     return SemilatticeDecomposition(rel, cong, q, tuple(components))
@@ -316,20 +325,28 @@ def diagram_report(profile: PropertyProfile) -> VerificationReport:
     """Check all six diagram implications on one classification profile.
     Implications whose hypothesis fails are skipped, not counted as
     verified."""
+    return _diagram(functools.partial(getattr, profile))
+
+
+def verify_table_diagram(s: CayleyTable) -> VerificationReport:
+    """`diagram_report(classify(s))`, reading only the verdicts that the
+    implications ask for."""
+    return _diagram(lambda key: _holds(s, key)[0])
+
+
+def _diagram(holds) -> VerificationReport:
+    """The diagram report, with `holds(key)` the verdict of the
+    classifier `key`."""
     witnesses = []
     counts = {}
     for name, hyp, concl in DIAGRAM_IMPLICATIONS:
-        if all(getattr(profile, k) for k in hyp):
+        if all(map(holds, hyp)):
             counts[name] = 1
-            if not all(getattr(profile, k) for k in concl):
+            if not all(map(holds, concl)):
                 witnesses.append((name,))
     if not counts:
         return _skipped("diagram", tables=1)
     return _report("diagram", witnesses, tables=1, **counts)
-
-
-def verify_table_diagram(s: CayleyTable) -> VerificationReport:
-    return diagram_report(classify(s))
 
 
 def strictness_witnesses() -> list[tuple[str, str, bool]]:
@@ -401,18 +418,22 @@ def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
 
 
 def _check_table(ids, grid: tuple) -> tuple:
-    """One report per check in `ids` on the table `grid`, each witness
-    tagged with the grid, so aggregated reports stay re-checkable."""
-    # A fresh table, not the caller's: its facts are dropped with it after
-    # its checks, so a corpus run does not keep every table's facts and a
-    # second run computes them again.
-    s = CayleyTable(grid)
+    """One report per check in `ids` on the table `grid`, the rows of a
+    `CayleyTable`, each witness tagged with the grid, so aggregated
+    reports stay re-checkable; a report without witnesses is returned as
+    the check gave it."""
+    # A fresh table, not the caller's: its own facts are dropped with it
+    # after its checks, so a corpus run does not keep every table's facts
+    # and a second run computes them again.  Its components and quotient
+    # are shared with equal ones until the run ends (`_sharing`).
+    s = CayleyTable._closed(grid)
     out = []
     for check_id in ids:
         r = CHECKS[check_id](s)
-        out.append(
-            VerificationReport(r.check, tuple((grid, w) for w in r.witnesses), r.counts)
-        )
+        if r.witnesses:
+            witnesses = tuple((grid, w) for w in r.witnesses)
+            r = VerificationReport(r.check, witnesses, r.counts)
+        out.append(r)
     return tuple(out)
 
 
@@ -439,10 +460,12 @@ def run_checks(
     check.  With workers > 1 a pool checks the tables, one table per
     task, and the reports are merged in table order, so the output is
     identical to a single-worker run; no tables give not-applicable
-    reports."""
+    reports.  The call is one run: equal components and quotients of the
+    tables are one table until it returns."""
     ids = list(ids)
     grids = [t.rows for t in tables]
-    per_table = _map(functools.partial(_check_table, ids), grids, workers)
+    with _sharing():
+        per_table = _map(functools.partial(_check_table, ids), grids, workers)
     if not per_table:
         return [VerificationReport(check_id) for check_id in ids]
     return [merge_reports(reports) for reports in zip(*per_table)]
@@ -510,6 +533,7 @@ def summarize_corpus(
     return _corpus(n, ids, workers, _WITNESSES_SHOWN)
 
 
+@_sharing()
 def _corpus(
     n: int, ids: Sequence[str], workers: int, shown: Optional[int]
 ) -> list[VerificationReport]:
@@ -523,7 +547,10 @@ def _corpus(
     class size.  The members of the classes with a witness are merged
     in labeled order, and each member after a representative is built
     once and checked for every check that has witnesses on its class
-    and still lists fewer than it shows, until none does."""
+    and still lists fewer than it shows, until none does.  The checks on
+    the representatives and on the members are one run: their equal
+    components and quotients are one table until it ends, in each pool
+    worker as in this process."""
     ids = list(ids)
     grids, sizes = zip(*[(s.rows, size) for s, size in _classes(n, "iso_anti")])
     per_class = _map(functools.partial(_check_table, ids), grids, workers)
@@ -540,8 +567,9 @@ def _corpus(
     )
     while any(len(out) < k for out, k in zip(listed, wanted)):
         grid, i = next(members)
-        # one table per member for all its checks, let go once they are done
-        member = None if grid == grids[i] else CayleyTable(grid)
+        # one table per member for all its checks, let go once they are
+        # done; its components and quotient stay shared until the run ends
+        member = None if grid == grids[i] else CayleyTable._closed(grid)
         for r, out, k in zip(per_class[i], listed, wanted):
             if r.witnesses and len(out) < k:
                 if member is None:

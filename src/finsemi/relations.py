@@ -207,7 +207,7 @@ def check_admissibility(s: CayleyTable, rel: BinaryRelation) -> AdmissibilityRep
         None,
     )
     left_w = right_w = None
-    if rel != BinaryRelation.full(n):
+    if rel_rows.count((1 << n) - 1) < n:
         left_w = _first_unstable(rows, rel_rows, left, rows, True)
         right_w = _first_unstable(rows, rel_rows, right, list(zip(*rows)), False)
     return AdmissibilityReport(bal_w, left_w, right_w)

@@ -195,6 +195,9 @@ def test_verify_diagram_per_table():
     assert counts["cancellative->separative"] == 1
     # the trivial table satisfies every hypothesis
     assert verify_table_diagram(validate([[0]])).verdict == "verified"
+    # the check reads the verdicts it needs, as the whole profile gives them
+    for s in oracles.corpus_up_to(4):
+        assert verify_table_diagram(s) == diagram_report(classify(s)), s.rows
 
 
 def test_diagram_report_flags_fabricated_violation():
@@ -652,6 +655,115 @@ def test_verify_corpus_drops_each_member_once_checked(monkeypatch):
     verify_corpus(4, CHECK_IDS)
     assert len(built) == 126 + 48 - 1
     assert max(alive) == 0
+
+
+def _shared_sub_tables(monkeypatch, run) -> tuple[int, int, list]:
+    """Call `run()` with `decompose` wrapped, and return the number of
+    distinct component and quotient tables it built, how many times one
+    of them was handed to a second source table, and weak references to
+    each; the wrapper requires that equal rows are one table throughout
+    the run."""
+    import finsemi.decomposition as decomposition
+
+    original = decomposition.decompose
+    first: dict[tuple, tuple] = {}  # rows -> (source rows, weakref to the table)
+    shared = 0
+
+    def tracking(s):
+        nonlocal shared
+        d = original(s)
+        for t in (d.quotient, *d.components):
+            if t is not None:
+                source, ref = first.setdefault(t.rows, (s.rows, weakref.ref(t)))
+                assert ref() is t
+                shared += source != s.rows
+        return d
+
+    monkeypatch.setattr(decomposition, "decompose", tracking)
+    run()
+    monkeypatch.undo()
+    return len(first), shared, [ref for _, ref in first.values()]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_checks(oracles.labeled_corpus(4), CHECK_IDS),
+        lambda: verify_corpus(4, CHECK_IDS),
+        lambda: summarize_corpus(4, CHECK_IDS),
+    ],
+    ids=["run_checks", "verify_corpus", "summarize_corpus"],
+)
+def test_sub_tables_are_shared_within_one_run_only(monkeypatch, run):
+    # equal components and quotients of different tables are one table
+    # while a run lasts, and all of them die when it ends
+    import gc
+    import finsemi.core as core
+
+    counts = []
+    for _ in range(2):
+        built, shared, refs = _shared_sub_tables(monkeypatch, run)
+        assert shared > 0
+        assert core._sub_tables is None
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        counts.append(built)
+    # the second run shares nothing with the first
+    assert counts[0] == counts[1] > 0
+
+
+def test_sub_tables_die_with_a_run_that_raises(monkeypatch):
+    import gc
+    import finsemi.core as core
+
+    original = CHECKS["p7"]
+    calls = 0
+
+    def failing(s):
+        nonlocal calls
+        calls += 1
+        if calls == 60:
+            raise RuntimeError("check failed")
+        return original(s)
+
+    def run():
+        monkeypatch.setitem(CHECKS, "p7", failing)
+        with pytest.raises(RuntimeError, match="check failed"):
+            verify_corpus(4, CHECK_IDS)
+
+    built, shared, refs = _shared_sub_tables(monkeypatch, run)
+    assert built > 0 and shared > 0
+    assert core._sub_tables is None
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    # complete runs after it build all their tables, as many each time
+    def complete():
+        verify_corpus(4, CHECK_IDS)
+
+    counts = [_shared_sub_tables(monkeypatch, complete)[0] for _ in range(2)]
+    assert counts[0] == counts[1] > built
+
+
+def test_shared_sub_tables_pass_the_oracle_scans():
+    # inside a run, components and quotients skip the entry scan and are
+    # shared with every equal one, facts included; each must be a valid
+    # semigroup table classified as a fresh validated copy is
+    from finsemi.core import _sharing, _sub_table
+
+    checked = set()
+    with _sharing():
+        for s in oracles.corpus_up_to(4) + list(enumerate_canonical(5, "iso")):
+            d = decompose(s)
+            for t in (d.quotient, *d.components):
+                if t is None:
+                    continue
+                assert _sub_table(t.rows) is t
+                if t.rows not in checked:
+                    checked.add(t.rows)
+                    shared, fresh = classify(t), classify(validate(t.rows))
+                    assert shared.as_dict() == fresh.as_dict(), t.rows
+                    assert shared.witnesses == fresh.witnesses, t.rows
+    assert len(checked) > 100
 
 
 def test_run_checks_on_no_tables_is_not_applicable():
