@@ -365,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_int_arg,
         default=1,
-        help="processes; one table or class per task",
+        help="processes; each takes tables or classes in chunks",
     )
     p.set_defaults(func="cmd_verify")
 

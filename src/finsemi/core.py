@@ -56,16 +56,16 @@ class CayleyTable:
     tuples of int tuples in the carrier.  Its callers:
     - `enumeration._table`, for every table `enumeration` gives out (the
       fill's complete tables, random draws, the labeled stream, canonical
-      forms and the members of a class).  Each is read from a flat byte
-      key, which is a complete fill, exhaustive or random, whose cells
-      all hold values below n, or relabels a table that passed the
-      check, so it has that table's n*n entries, each a value below n
-      mapped by a permutation of {0, ..., n-1}.
+      forms and the members of a class) or `decomposition` checks.  Each
+      is read from a flat key whose n*n cells all hold values below n: a
+      complete fill, exhaustive or random, the cells of a table that
+      passed the check, or those of a relabeling of one, which maps each
+      value by a permutation of {0, ..., n-1}.
     - `_sub_table`, for `decompose`'s components, which hold the local
       index of a product within a closed class, and for `quotient`s,
       which hold class indices.
-    - `decomposition._check_table` and the member merge of `_corpus`,
-      whose grids are the rows of a `CayleyTable`.
+    - the member merge of `decomposition._corpus`, whose grids are the
+      rows of a `CayleyTable`.
     """
 
     __slots__ = ("n", "rows", "_facts", "__weakref__")

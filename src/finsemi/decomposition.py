@@ -15,29 +15,33 @@ search live here too: `verify_corpus` and `summarize_corpus` report on
 every labeled table of an order from one table per isomorphism-and-mirror
 class, each count weighted by the class's size (both of its isomorphism
 orbits) as the enumeration's fill counts it.  Both come from one
-function, `_corpus`, which merges, in labeled order, the members of the
-classes whose representative yields a witness, and builds and checks
-them one by one while a report lists fewer witnesses than it shows:
-every one for `verify_corpus`, the first `_WITNESSES_SHOWN` for
-`summarize_corpus`, which stores how many there are in all.
+function, `_corpus`, which folds the classes' reports as they arrive,
+keeps those whose representative yields a witness, merges their members
+in labeled order, and builds and checks them one by one while a report
+lists fewer witnesses than it shows: every one for `verify_corpus`, the
+first `_WITNESSES_SHOWN` for `summarize_corpus`, which stores how many
+there are in all.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .congruence import Congruence, NotACongruence, induced_congruence, quotient
 from .core import CayleyTable, _sharing, _sub_table
 from .enumeration import (
     MAX_CLASS_ORDER,
     _check_order,
-    _classes,
+    _leader_keys,
     _orbit,
+    _table,
     enumerate_canonical,
 )
 from .properties import PropertyProfile, _holds, is_semilattice
@@ -140,6 +144,7 @@ def _report(check: str, witnesses=(), **counts) -> VerificationReport:
     return VerificationReport(check, tuple(witnesses), tuple(sorted(counts.items())))
 
 
+@functools.cache
 def _skipped(check: str, **counts) -> VerificationReport:
     """The report of a check whose premises fail, counted as skipped."""
     counts["skipped"] = 1
@@ -417,55 +422,61 @@ def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
     return VerificationReport(check, tuple(witnesses), tuple(sorted(counts.items())))
 
 
-def _check_table(ids, grid: tuple) -> tuple:
-    """One report per check in `ids` on the table `grid`, the rows of a
-    `CayleyTable`, each witness tagged with the grid, so aggregated
-    reports stay re-checkable; a report without witnesses is returned as
-    the check gave it."""
+def _check_table(ids, cells) -> tuple:
+    """One report per check in `ids` on the table with the flat row-major
+    `cells` (of a `CayleyTable`, or a class leader's key), each witness
+    tagged with its rows, so aggregated reports stay re-checkable; a
+    report without witnesses is returned as the check gave it."""
     # A fresh table, not the caller's: its own facts are dropped with it
     # after its checks, so a corpus run does not keep every table's facts
     # and a second run computes them again.  Its components and quotient
     # are shared with equal ones until the run ends (`_sharing`).
-    s = CayleyTable._closed(grid)
+    s = _table(cells, math.isqrt(len(cells)))
     out = []
     for check_id in ids:
         r = CHECKS[check_id](s)
         if r.witnesses:
-            witnesses = tuple((grid, w) for w in r.witnesses)
+            witnesses = tuple((s.rows, w) for w in r.witnesses)
             r = VerificationReport(r.check, witnesses, r.counts)
         out.append(r)
     return tuple(out)
 
 
-def _map(fn, items: list, workers: int) -> list:
-    """`[fn(x) for x in items]`, computed by a pool of at most `workers`
-    processes, no more than the CPUs this process may run on and one per
-    item; with one process, computed here."""
+def _check_workers(workers: int):
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+
+
+def _map(fn, items: Sequence, workers: int) -> Iterator:
+    """`map(fn, items)`, computed here, or by a pool of at most `workers`
+    processes, no more than the CPUs this process may run on and one per
+    item, each handed a quarter of its share at a time, at most 256."""
     cpus = os.cpu_count() or 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     processes = min(workers, cpus, len(items))
     if processes <= 1:
-        return [fn(x) for x in items]
+        yield from map(fn, items)
+        return
+    # at order 6 larger chunks were no faster and left more results waiting
     with multiprocessing.Pool(processes) as pool:
-        return pool.map(fn, items)
+        yield from pool.imap(fn, items, min(256, -(-len(items) // (4 * processes))))
 
 
 def run_checks(
     tables: Iterable[CayleyTable], ids: Sequence[str], workers: int = 1
 ) -> list[VerificationReport]:
     """Run the named checks over the tables and aggregate one report per
-    check.  With workers > 1 a pool checks the tables, one table per
-    task, and the reports are merged in table order, so the output is
-    identical to a single-worker run; no tables give not-applicable
-    reports.  The call is one run: equal components and quotients of the
-    tables are one table until it returns."""
+    check.  With workers > 1 a pool checks the tables (`_map`), and the
+    reports are merged in table order, so the output is identical to a
+    single-worker run; no tables give not-applicable reports.  The call
+    is one run: equal components and quotients of the tables are one
+    table until it returns."""
+    _check_workers(workers)
     ids = list(ids)
-    grids = [t.rows for t in tables]
+    cells = [tuple(chain.from_iterable(t.rows)) for t in tables]
     with _sharing():
-        per_table = _map(functools.partial(_check_table, ids), grids, workers)
+        per_table = list(_map(functools.partial(_check_table, ids), cells, workers))
     if not per_table:
         return [VerificationReport(check_id) for check_id in ids]
     return [merge_reports(reports) for reports in zip(*per_table)]
@@ -481,11 +492,11 @@ def verify_corpus(
     class's members all report what its representative does: each
     report holds the representative's verdict and its counts times the
     class size, the members of both isomorphism orbits, which the fill
-    counts along with the representative (`_classes`), and only a class
-    with a witness is expanded into its members, for their own
-    witnesses, merged in labeled order as the labeled stream lists them.
-    With workers > 1 a pool checks the representatives, one class per
-    task, and the members are checked in this process.
+    counts along with the representative (`_leader_keys`), and only a
+    class with a witness is kept and expanded into its members, for
+    their own witnesses, merged in labeled order as the labeled stream
+    lists them.  With workers > 1 a pool checks the representatives in
+    chunks (`_map`), and the members are checked in this process.
 
     Why transposing is a symmetry.  Transposing a table T into T' swaps
     the left kernels L and the right kernels R, so the pairs B on which
@@ -541,56 +552,51 @@ def _corpus(
     witnesses of the least labeled tables, `shown` of them or, with
     None, all, and storing their total where it is more.
 
-    Each class is checked on its representative only, one class per
-    pool task, and its counts are weighted by the class size; a check's
-    total is the sum of each representative's witness count times its
-    class size.  The members of the classes with a witness are merged
-    in labeled order, and each member after a representative is built
-    once and checked for every check that has witnesses on its class
-    and still lists fewer than it shows, until none does.  The checks on
-    the representatives and on the members are one run: their equal
+    Each class is checked on its representative only; its reports are
+    folded as they arrive, weighted by the class size, and kept only if
+    one has a witness.  The members of those classes are merged in
+    labeled order, and each member after a representative is built once
+    and checked for every check that has witnesses on its class and
+    still lists fewer than it shows, until none does.  The checks on the
+    representatives and on the members are one run: their equal
     components and quotients are one table until it ends, in each pool
     worker as in this process."""
+    _check_workers(workers)
     ids = list(ids)
-    grids, sizes = zip(*[(s.rows, size) for s, size in _classes(n, "iso_anti")])
-    per_class = _map(functools.partial(_check_table, ids), grids, workers)
-    columns = list(zip(*per_class))  # per check, its report on each class
-    totals = [sum(len(r.witnesses) * k for r, k in zip(c, sizes)) for c in columns]
+    keys, sizes = zip(*_leader_keys(n, "iso_anti"))
+    counts: list[dict[str, int]] = [{} for _ in ids]
+    totals = [0] * len(ids)
+    witnessed = []  # (rows, reports) of each class with a witness
+    per_class = _map(functools.partial(_check_table, ids), keys, workers)
+    for key, size, reports in zip(keys, sizes, per_class):
+        for j, r in enumerate(reports):
+            totals[j] += len(r.witnesses) * size
+            for k, v in r.counts:
+                counts[j][k] = counts[j].get(k, 0) + v * size
+        if any(r.witnesses for r in reports):
+            witnessed.append((_table(key, n).rows, reports))
+    reports = r = None  # the last class's, which the merge must not keep
     wanted = totals if shown is None else [min(t, shown) for t in totals]
     listed: list[list] = [[] for _ in ids]
-    members = heapq.merge(
-        *(
-            _members(grids[i], i)
-            for i, reports in enumerate(per_class)
-            if any(r.witnesses for r in reports)
-        )
-    )
+    members = heapq.merge(*(_members(rows, j) for j, (rows, _) in enumerate(witnessed)))
     while any(len(out) < k for out, k in zip(listed, wanted)):
-        grid, i = next(members)
+        grid, j = next(members)
+        rows, reports = witnessed[j]
         # one table per member for all its checks, let go once they are
         # done; its components and quotient stay shared until the run ends
-        member = None if grid == grids[i] else CayleyTable._closed(grid)
-        for r, out, k in zip(per_class[i], listed, wanted):
+        member = None if grid == rows else CayleyTable._closed(grid)
+        for r, out, k in zip(reports, listed, wanted):
             if r.witnesses and len(out) < k:
                 if member is None:
                     out.extend(r.witnesses)
                 else:
                     out.extend((grid, w) for w in CHECKS[r.check](member).witnesses)
-    reports = []
-    for col, out, total, k in zip(columns, listed, totals, wanted):
-        counts: dict[str, int] = {}
-        for r, size in zip(col, sizes):
-            for key, v in r.counts:
-                counts[key] = counts.get(key, 0) + v * size
-        reports.append(
-            VerificationReport(
-                col[0].check,
-                tuple(out[:k]),
-                tuple(sorted(counts.items())),
-                total if total > k else None,
-            )
+    return [
+        VerificationReport(
+            check, tuple(out[:k]), tuple(sorted(c.items())), t if t > k else None
         )
-    return reports
+        for check, out, c, t, k in zip(ids, listed, counts, totals, wanted)
+    ]
 
 
 def _members(grid: tuple, i: int):

@@ -41,7 +41,7 @@ from .core import CayleyTable
 # The largest order of the labeled stream and of `random_table`: order 6
 # has 17,061,118 labeled tables.
 MAX_LABELED_ORDER = 5
-# The largest order of the class fill (`_classes`) and of what reads it,
+# The largest order of the class fill (`_leader_keys`) and of what reads it,
 # one table per class: order 6 has 28,634 isomorphism classes.
 MAX_CLASS_ORDER = 6
 
@@ -325,11 +325,11 @@ def _relabeled(s: CayleyTable, mode: str) -> list[bytes]:
     return _relabeled_keys(bytes(chain.from_iterable(s.rows)), s.n, mode)
 
 
-def _table(key: bytes, n: int) -> CayleyTable:
+def _table(key, n: int) -> CayleyTable:
     """The table whose rows are the flat row-major key `key`, read as
-    tuples of ints.  Every table this module gives out is built here,
-    without the closure check: each key is a complete fill or relabels a
-    table that passed the check."""
+    tuples of ints.  Every table this module gives out or `decomposition`
+    checks is built here, without the closure check: each key is a
+    complete fill or the cells of a table that passed it or of a relabeling."""
     return CayleyTable._closed(tuple(zip(*[iter(key)] * n)))
 
 
@@ -364,13 +364,6 @@ def _leader_keys(n: int, mode: str) -> Iterator[tuple[bytes, int]]:
     size = len(relabelings)
     # the first relabeling is the identity, which every table ties with
     return ((key, size // (ties + 1)) for key, ties in _fills(n, relabelings[1:]))
-
-
-def _classes(n: int, mode: str) -> Iterator[tuple[CayleyTable, int]]:
-    """`enumerate_canonical(n, mode)`, each representative with its
-    orbit size (`_leader_keys`)."""
-    for key, size in _leader_keys(n, mode):
-        yield _table(key, n), size
 
 
 def enumerate_canonical(n: int, mode: str = "iso_anti") -> Iterator[CayleyTable]:

@@ -27,7 +27,7 @@ from finsemi import (
     strictness_witnesses,
     validate,
 )
-from finsemi.enumeration import _classes, _orbit
+from finsemi.enumeration import _leader_keys, _orbit, _table
 from finsemi.properties import _commutative_with_witness
 from finsemi.decomposition import (
     CHECK_IDS,
@@ -514,7 +514,7 @@ class PoolRequests(list):
 def recording_pool(monkeypatch):
     """Replace multiprocessing.Pool by a stub that records the requested
     process count and the items handed to it, and maps serially in this
-    process; report 3 CPUs."""
+    process, `map` and `imap` alike; report 3 CPUs."""
     import multiprocessing
     import os
 
@@ -534,6 +534,11 @@ def recording_pool(monkeypatch):
             requested.mapped.append(len(items))
             return [fn(x) for x in items]
 
+        def imap(self, fn, items, chunksize=1):
+            assert chunksize >= 1
+            requested.mapped.append(len(items))
+            return map(fn, items)
+
     monkeypatch.setattr(multiprocessing, "Pool", Pool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -552,7 +557,7 @@ def test_pool_is_capped_by_cpus_and_chunks(recording_pool):
     assert search_cor15_converse(3) is not None
     hit = search_cor15_converse(5)
     assert hit.rows == ((0, 0, 0), (0, 1, 1), (0, 2, 2))
-    # each pool is handed one table per task
+    # each pool is handed every table
     assert recording_pool == [3, 2, 2]
     assert recording_pool.mapped == [113, 113, 2]
 
@@ -565,9 +570,9 @@ def test_verify_corpus_equals_run_checks_over_labeled_tables(recording_pool):
         assert verify_corpus(n, CHECK_IDS) == labeled
         assert verify_corpus(n, CHECK_IDS, workers=3) == labeled
     assert recording_pool == [3, 3, 3]
-    # one iso_anti class per task (4, 18 and 126 classes), so the order-4
-    # class with t6 witnesses, which carries all 48 expanded members, is
-    # scheduled like any other class
+    # the pool is handed the iso_anti classes (4, 18 and 126 of them), so
+    # the order-4 class with t6 witnesses, which carries all 48 expanded
+    # members, is scheduled like any other class
     assert recording_pool.mapped == [4, 18, 126]
 
 
@@ -789,6 +794,60 @@ def test_workers_below_one_are_rejected(recording_pool, workers):
     assert recording_pool == []
 
 
+def test_bad_worker_count_is_rejected_before_any_table(monkeypatch):
+    # the order-6 class fill takes seconds, and a worker count below 1
+    # fails before it starts, as before the tables of `run_checks` are read
+    import finsemi.decomposition as decomposition
+
+    def fill(*args):
+        raise AssertionError("the class fill ran")
+
+    def tables():
+        raise AssertionError("the tables were read")
+        yield
+
+    monkeypatch.setattr(decomposition, "_leader_keys", fill)
+    for run in (verify_corpus, summarize_corpus):
+        with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+            run(6, CHECK_IDS, workers=0)
+    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+        run_checks(tables(), CHECK_IDS, workers=0)
+
+
+def test_class_route_keeps_only_the_witnessed_classes_reports(monkeypatch):
+    # each class's reports are folded as they arrive: when the member merge
+    # starts, no report of the 1,145 witness-free order-5 classes is alive
+    # but the shared not-applicable ones, at most one per check
+    import finsemi.decomposition as decomposition
+
+    check_table, members = decomposition._check_table, decomposition._members
+    free = []  # weak references to the reports of the witness-free classes
+    witnessed = 0
+    alive = None
+
+    def recording(ids, cells):
+        nonlocal witnessed
+        reports = check_table(ids, cells)
+        if any(r.witnesses for r in reports):
+            witnessed += 1
+        else:
+            free.extend(weakref.ref(r) for r in reports)
+        return reports
+
+    def merging(grid, i):
+        nonlocal alive
+        if alive is None:
+            alive = {id(r): r for r in (ref() for ref in free) if r is not None}
+        return members(grid, i)
+
+    monkeypatch.setattr(decomposition, "_check_table", recording)
+    monkeypatch.setattr(decomposition, "_members", merging)
+    verify_corpus(5, CHECK_IDS)
+    assert (witnessed, len(free)) == (15, (1160 - 15) * len(CHECK_IDS))
+    assert all(r.verdict == "not-applicable" for r in alive.values())
+    assert max(Counter(r.check for r in alive.values()).values(), default=0) <= 1
+
+
 @pytest.fixture(scope="module")
 def iso_classes_with_mirrors() -> tuple:
     """Every iso class representative T of order <= 5 with its transpose
@@ -842,7 +901,8 @@ def test_witness_counts_are_class_invariants():
     # class size
     witnessed = members = 0
     for n in range(1, 6):
-        for rep, size in _classes(n, "iso_anti"):
+        for key, size in _leader_keys(n, "iso_anti"):
+            rep = _table(key, n)
             counts = [len(CHECKS[c](rep).witnesses) for c in CHECK_IDS]
             if not any(counts):
                 continue

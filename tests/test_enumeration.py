@@ -21,11 +21,12 @@ from finsemi import (
 )
 from finsemi.decomposition import CHECK_IDS, verify_corpus
 from finsemi.enumeration import (
-    _classes,
     _fits,
+    _leader_keys,
     _orbit,
     _relabeled,
     _relabelings,
+    _table,
 )
 
 import oracles
@@ -294,7 +295,8 @@ def test_orbit_sizes_match_automorphism_counts():
     # stream order
     for n in (1, 2, 3, 4):
         members = []
-        for rep, weight in _classes(n, "iso"):
+        for key, weight in _leader_keys(n, "iso"):
+            rep = _table(key, n)
             orbit = [m.rows for m in _orbit(rep, "iso")]
             automorphisms = oracles.automorphism_count(rep.rows)
             assert len(orbit) == weight == math.factorial(n) // automorphisms
@@ -312,7 +314,8 @@ def test_mirror_orbits_match_class_weights():
     # relies on, and the classes partition the labeled stream
     for n in (1, 2, 3, 4):
         members = []
-        for rep, weight in _classes(n, "iso_anti"):
+        for key, weight in _leader_keys(n, "iso_anti"):
+            rep = _table(key, n)
             orbit = [m.rows for m in _orbit(rep, "iso_anti")]
             assert len(orbit) == weight
             assert orbit == sorted(orbit) and orbit[0] == rep.rows
@@ -331,11 +334,11 @@ def test_orbit_sizes_sum_to_labeled_counts():
     # the weights sum to the labeled count in both modes, those of the
     # iso_anti classes counting the mirror images too
     for n, labeled in ((1, 1), (2, 8), (3, 113), (4, 3492), (5, 183732)):
-        classes = list(_classes(n, "iso"))
-        for rep, weight in classes:
-            assert weight == len(_orbit(rep, "iso")), rep.rows
+        classes = list(_leader_keys(n, "iso"))
+        for key, weight in classes:
+            assert weight == len(_orbit(_table(key, n), "iso")), key
         assert sum(weight for _, weight in classes) == labeled
-        assert sum(weight for _, weight in _classes(n, "iso_anti")) == labeled
+        assert sum(weight for _, weight in _leader_keys(n, "iso_anti")) == labeled
 
 
 def _fits_as_oracle(grid, k):
