@@ -29,6 +29,7 @@ from .core import (
 )
 from .decomposition import (
     CHECK_IDS,
+    _components,
     decompose,
     format_report,
     normalize_check_id,
@@ -190,7 +191,7 @@ def cmd_decompose(args) -> int:
     out.write(
         f"quotient_is_semilattice: {'true' if d.quotient_is_semilattice else 'false'}\n"
     )
-    for i, (cls, comp) in enumerate(zip(d.congruence.classes, d.components)):
+    for i, (cls, comp) in enumerate(zip(d.congruence.classes, _components(s, d))):
         if comp is None:
             out.write(f"component {i}: not closed under the product\n")
             continue

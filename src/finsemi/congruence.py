@@ -46,7 +46,8 @@ def induced_congruence(s: CayleyTable, rel: BinaryRelation) -> Congruence:
     compared with its class's least member x only: a c separating two
     members separates one of them from x, so this finds the first
     witness of the scan over all pairs of a class, which visits x's
-    pairs first.
+    pairs first.  With one class the scan is skipped: every product lies
+    in that class, so no c can separate two products.
     """
     if rel.n != s.n:
         raise ValueError("relation carrier does not match the table")
@@ -56,7 +57,7 @@ def induced_congruence(s: CayleyTable, rel: BinaryRelation) -> Congruence:
     classes = sorted(groups.values())
     class_of = _class_index(classes)
     rows = s.rows
-    for x, *rest in classes:
+    for x, *rest in classes if len(classes) > 1 else ():
         for y in rest:
             for c in range(s.n):
                 if class_of[rows[c][x]] != class_of[rows[c][y]]:
@@ -121,7 +122,11 @@ def quotient(s: CayleyTable, c: Congruence) -> CayleyTable:
     homomorphic image: associative, and not scanned again.  Its entries
     are class indices, in the carrier by construction, so it is built by
     `core._sub_table` without the entry scan, and while a run of checks
-    lasts it is one table with every equal quotient or component."""
+    lasts it is one table with every equal quotient or component.  With
+    one class the quotient is ((0,),) and the representative scan is
+    skipped: every product lies in the one class."""
+    if len(c.classes) == 1:
+        return _sub_table(((0,),))
     reps = [cls[0] for cls in c.classes]
     cls_of = c.class_of
     rows = s.rows

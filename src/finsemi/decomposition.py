@@ -62,7 +62,10 @@ class SemilatticeDecomposition:
     product; the class is the back-map into the source.
 
     Holds no reference to the decomposed table, so that as a fact of
-    that table it forms no reference cycle and is freed with it."""
+    that table it forms no reference cycle and is freed with it.  So a
+    one-class decomposition holds a copy of the table as its one
+    component, and the checks read the table's own facts instead
+    (`_components`)."""
 
     relation: BinaryRelation
     congruence: Congruence
@@ -98,11 +101,17 @@ def decompose(s: CayleyTable) -> SemilatticeDecomposition:
     checks lasts (`run_checks`, `_corpus`), equal components and
     quotients, of this table or any other, are one table, whose facts
     are computed once in the run.
+
+    A single class is the whole carrier in order, so its component's
+    rows are the table's own; the checks read them through
+    `_components`, which gives the table itself and so its facts.
     """
     rel = s.fact(canonical_relation)
     cong = induced_congruence(s, rel)
     q = quotient(s, cong)
     rows, qrows = s.rows, q.rows
+    if len(cong.classes) == 1:
+        return SemilatticeDecomposition(rel, cong, q, (_sub_table(rows),))
     components: list[Optional[CayleyTable]] = []
     for i, cls in enumerate(cong.classes):
         if qrows[i][i] == i:
@@ -112,6 +121,14 @@ def decompose(s: CayleyTable) -> SemilatticeDecomposition:
         else:
             components.append(None)
     return SemilatticeDecomposition(rel, cong, q, tuple(components))
+
+
+def _components(s: CayleyTable, d: SemilatticeDecomposition) -> tuple:
+    """The component tables of `d = decompose(s)`, with `s` itself for
+    the one component of a one-class decomposition: its rows are `s`'s,
+    so it reads the facts `s` already holds (kernels, canonical
+    relation, classifier verdicts) instead of computing them again."""
+    return (s,) if len(d.components) == 1 else d.components
 
 
 @dataclass(frozen=True)
@@ -210,12 +227,14 @@ def _component_check(
 ) -> VerificationReport:
     """Every closed component must satisfy the classifiers `keys`; an
     unclosed class and, with `semilattice`, a quotient that is no
-    semilattice are violations too."""
+    semilattice are violations too.  The one component of a one-class
+    decomposition is `s` itself (`_components`), whose verdicts equal
+    those of the copy in `d.components`, rows for rows."""
     d = s.fact(decompose)
     witnesses = []
     if semilattice and not d.quotient_is_semilattice:
         witnesses.append(("quotient_not_semilattice",))
-    for idx, comp in enumerate(d.components):
+    for idx, comp in enumerate(_components(s, d)):
         if comp is None:
             witnesses.append(("class_not_closed", idx))
             continue

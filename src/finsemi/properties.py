@@ -20,6 +20,8 @@ cancellation and weak balance scans visit only the first a and the
 first b of each distinct kernel (L[a] and R[b], or the pairs L[a], R[a]
 and L[b], R[b]): every other (a, b) repeats the verdict of one scanned
 before it, so the first failing (a, b) and its witness are unchanged.
+The cancellation scans do the same with L[a] or R[a], and square
+descent with the quadruple L[a], R[a], L[aa], R[aa].
 """
 
 from __future__ import annotations
@@ -136,8 +138,10 @@ def is_quasi_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
 
 
 def _first_collision(kernels) -> tuple[bool, Optional[tuple]]:
-    """First (a, x, y), x < y, with y in kernels[a][x]."""
-    for a, kernel in enumerate(kernels):
+    """First (a, x, y), x < y, with y in kernels[a][x].  Whether a has
+    one depends on kernels[a] alone, so only the first a of each
+    distinct kernel is scanned (`_firsts`)."""
+    for a, kernel in _firsts(kernels):
         for x, m in enumerate(kernel):
             if m >> x + 1:
                 return False, (a, x, _low_bit(m >> x + 1) + x + 1)
@@ -161,12 +165,16 @@ def is_cancellative(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
 
 def has_square_descent(s: CayleyTable) -> tuple[bool, Optional[tuple]]:
     """Equalities against a*a descend to equalities against a:
-    a2*x = a2*y and x*a2 = y*a2 force a*x = a*y and x*a = y*a."""
+    a2*x = a2*y and x*a2 = y*a2 force a*x = a*y and x*a = y*a.
+
+    The verdict and witness at a depend only on (L[a], R[a], L[aa],
+    R[aa]), so only the first a of each distinct quadruple is scanned
+    (`_firsts`)."""
     left, right = s.fact(_kernels)
     rows = s.rows
-    for a, (la, ra) in enumerate(zip(left, right)):
-        aa = rows[a][a]
-        for x, (l2, r2) in enumerate(zip(left[aa], right[aa])):
+    quads = [(left[a], right[a], left[r[a]], right[r[a]]) for a, r in enumerate(rows)]
+    for a, (la, ra, l2s, r2s) in _firsts(quads):
+        for x, (l2, r2) in enumerate(zip(l2s, r2s)):
             m = l2 & r2 & ~(la[x] & ra[x])
             if m:
                 return False, (a, x, _low_bit(m))

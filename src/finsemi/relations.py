@@ -192,7 +192,9 @@ def check_admissibility(s: CayleyTable, rel: BinaryRelation) -> AdmissibilityRep
     """Evaluate the three admissibility conditions over the table's left
     and right kernels, reporting the first witness of each in scan order.
     The full relation holds every translated pair, so it is stable on
-    both sides and only its balance is scanned."""
+    both sides and only its balance is scanned.  The balance scan skips
+    every a with L[a] is R[a]: equal kernels are one shared tuple
+    (`_kernels`), and where they are equal no x can differ."""
     if rel.n != s.n:
         raise ValueError("relation carrier does not match the table")
     n, rows, rel_rows = s.n, s.rows, rel.rows
@@ -200,9 +202,10 @@ def check_admissibility(s: CayleyTable, rel: BinaryRelation) -> AdmissibilityRep
     bal_w = next(
         (
             (a, x, _low_bit(d))
-            for a in range(n)
+            for a, (la, ra) in enumerate(zip(left, right))
+            if la is not ra
             for x in range(n)
-            if (d := rel_rows[x] & (left[a][x] ^ right[a][x]))
+            if (d := rel_rows[x] & (la[x] ^ ra[x]))
         ),
         None,
     )

@@ -478,10 +478,14 @@ def adjoin_zero(s: CayleyTable) -> CayleyTable:
 
 
 def zoo_tables() -> list:
-    """Small zoo tables, a direct product and a group with a zero, beyond
+    """Small zoo tables, direct products and a group with a zero, beyond
     the exhaustive orders.  The group with a zero has one left and one
     right kernel shared by its five group elements, so the kernel scans
-    skip most pairs before its zero fails weak cancellation."""
+    skip most pairs before its zero fails weak cancellation.  The last
+    three, of 12 to 16 elements, repeat each kernel many times: a group
+    has one left and one right kernel, and a rectangular band one of
+    each too, so the scans that visit each distinct kernel once skip
+    most elements on them."""
     return [
         rectangular_band(2, 3),
         cyclic_group(6),
@@ -490,6 +494,9 @@ def zoo_tables() -> list:
         monogenic(3, 2),
         direct_product(rectangular_band(2, 2), cyclic_group(3)),
         adjoin_zero(cyclic_group(5)),
+        cyclic_group(12),
+        rectangular_band(3, 4),
+        direct_product(cyclic_group(4), rectangular_band(2, 2)),
     ]
 
 

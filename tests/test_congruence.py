@@ -9,6 +9,7 @@ from finsemi import (
     chain_semilattice,
     check_admissibility,
     cyclic_group,
+    enumerate_canonical,
     induced_congruence,
     is_band,
     is_semilattice,
@@ -117,6 +118,32 @@ def test_quotient_examples():
 
     cong = induced_congruence(Z2, BinaryRelation.full(2))
     assert quotient(Z2, cong).rows == ((0,),)
+
+
+def test_quotient_matches_the_compatibility_oracle_on_every_partition():
+    # quotient raises exactly on the partitions that are no congruence;
+    # otherwise its entry (i, j) is the class of every product of a
+    # member of class i by one of class j, and one class gives ((0,),)
+    tables = oracles.corpus_up_to(3) + list(enumerate_canonical(4, "iso_anti"))
+    assert len(tables) == 122 + 126
+    for s in tables:
+        for blocks in oracles.set_partitions(s.n):
+            cong = Congruence(tuple(map(tuple, blocks)))
+            failing = oracles.naive_compatibility_witness(s, blocks) is not None
+            try:
+                q = quotient(s, cong)
+            except NotACongruence:
+                assert failing, (s.rows, blocks)
+                continue
+            assert not failing, (s.rows, blocks)
+            c = cong.class_of
+            assert all(
+                q.rows[c[x]][c[y]] == c[s.rows[x][y]]
+                for x in range(s.n)
+                for y in range(s.n)
+            ), (s.rows, blocks)
+            if len(blocks) == 1:
+                assert q.rows == ((0,),)
 
 
 def test_quotient_detects_representative_dependence():

@@ -22,6 +22,7 @@ from finsemi import (
     left_zero,
     monogenic,
     null_semigroup,
+    rectangular_band,
     run_checks,
     search_cor15_converse,
     strictness_witnesses,
@@ -769,6 +770,47 @@ def test_shared_sub_tables_pass_the_oracle_scans():
                     assert shared.as_dict() == fresh.as_dict(), t.rows
                     assert shared.witnesses == fresh.witnesses, t.rows
     assert len(checked) > 100
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        cyclic_group(12),
+        oracles.direct_product(rectangular_band(2, 2), cyclic_group(3)),
+    ],
+    ids=["cyclic12", "rectangular2x2_times_cyclic3"],
+)
+def test_one_class_decomposition_reads_the_tables_own_facts(
+    monkeypatch, capsys, tmp_path, table
+):
+    # the one component is a copy of the table, not the table (no
+    # reference cycle), yet the checks and the component profile of
+    # `decompose` read the table's own kernels and canonical relation
+    from finsemi.cli import main
+    from finsemi.relations import _kernels
+
+    d = decompose(table)
+    assert len(d.congruence.classes) == 1
+    assert d.components[0] == table and d.components[0] is not table
+
+    computed = Counter()
+    fact = CayleyTable.fact
+
+    def counting(self, compute):
+        computed[compute] += compute not in self._facts
+        return fact(self, compute)
+
+    monkeypatch.setattr(CayleyTable, "fact", counting)
+    path = tmp_path / "table.txt"
+    path.write_text(oracles.format_table(table.rows))
+    for run in (
+        lambda: run_checks([table], CHECK_IDS),
+        lambda: main(["decompose", str(path)]),
+    ):
+        computed.clear()
+        run()
+        assert computed[_kernels] == computed[canonical_relation] == 1
+    assert "component 0: elements" in capsys.readouterr().out
 
 
 def test_run_checks_on_no_tables_is_not_applicable():
