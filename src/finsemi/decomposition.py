@@ -281,10 +281,15 @@ def verify_class_separation(s: CayleyTable) -> VerificationReport:
     left, rel = s.fact(_kernels)[0], d.relation.rows
     witnesses = []
     for ci, cls in enumerate(d.congruence.classes):
+        # only an x related to another member of its class can fire
         inside = sum(1 << x for x in cls)
+        off = [(x, m) for x in cls if (m := rel[x] & inside & ~(1 << x))]
+        if not off:
+            continue
         for a in cls:
-            for x in cls:
-                if m := rel[x] & left[a][x] & inside & ~(1 << x):
+            la = left[a]
+            for x, m in off:
+                if m := m & la[x]:
                     witnesses.append((ci, a, x, _low_bit(m)))
                     break
     return _report("p7", witnesses, classes=len(d.congruence.classes))

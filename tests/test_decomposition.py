@@ -161,6 +161,34 @@ def test_verify_class_separation_examples():
     assert verify_class_separation(N2).verdict == "not-applicable"
 
 
+def test_class_separation_matches_the_literal_triple_loop(monkeypatch):
+    # p7 scans only the members x related to another member of their
+    # class; its witnesses must be those of the full triple loop, also
+    # with its quasi-separative premise lifted so that it runs on every
+    # table
+    import finsemi.decomposition as decomposition
+
+    canonical4 = list(enumerate_canonical(4))
+    assert len(canonical4) == 126
+    tables = oracles.corpus_up_to(3) + canonical4 + oracles.zoo_tables()
+    expected = [
+        oracles.literal_class_separation(s, decompose(s).congruence.classes)
+        for s in tables
+    ]
+    applicable = 0
+    for s, witnesses in zip(tables, expected):
+        r = verify_class_separation(s)
+        if r.verdict == "not-applicable":
+            assert not is_quasi_separative(s)[0]
+            continue
+        applicable += 1
+        assert r.witnesses == tuple(witnesses), s.rows
+    monkeypatch.setattr(decomposition, "_holds", lambda s, key: (True, None))
+    lifted = [verify_class_separation(s).witnesses for s in tables]
+    assert lifted == [tuple(w) for w in expected]
+    assert applicable > 0 and sum(map(len, lifted)) > 0
+
+
 def test_verify_cancellation_propositions():
     assert verify_separative_cancellation(Z2).verdict == "verified"
     assert verify_separative_cancellation(L2).verdict == "not-applicable"

@@ -49,6 +49,54 @@ def test_constructors_validate():
         assert validate([list(r) for r in s.rows]) == s
 
 
+# Each family's product i*j as a literal formula in its parameters.
+ZOO_FORMULAS = {
+    "left_zero": lambda n: lambda i, j: i,
+    "right_zero": lambda n: lambda i, j: j,
+    "null": lambda n: lambda i, j: 0,
+    "chain": lambda n: lambda i, j: min(i, j),
+    "cyclic": lambda n: lambda i, j: (i + j) % n,
+    # element i is the power i + 1; powers beyond m + r - 1 wrap by r
+    "monogenic": lambda m, r: lambda i, j: (
+        i + j + 1 if i + j + 2 <= m + r - 1 else m + (i + j + 2 - m) % r - 1
+    ),
+    "rectangular_band": lambda p, q: lambda i, j: (i // q) * q + j % q,
+}
+
+# the zoo specs of the benchmark's large-tables workload
+BENCH_ZOO_PARAMS = {
+    "rectangular_band": (6, 6),
+    "cyclic": (36,),
+    "chain": (28,),
+    "null": (28,),
+}
+
+
+def test_zoo_rows_are_the_formula_grids_in_the_carrier():
+    # the zoo builds its rows by slicing and skips the entry scan: each
+    # table must equal its formula's grid, which passes `validate`, and
+    # hold only ints in the carrier
+    from itertools import product as iproduct
+
+    from finsemi.cli import _ZOO_FAMILIES
+
+    assert set(ZOO_FORMULAS) == set(_ZOO_FAMILIES)
+    checked = 0
+    for name, (ctor, arity, size) in _ZOO_FAMILIES.items():
+        params = list(iproduct(range(1, 9), repeat=arity))
+        if name in BENCH_ZOO_PARAMS:
+            params.append(BENCH_ZOO_PARAMS[name])
+        for ps in params:
+            n, product = size(*ps), ZOO_FORMULAS[name](*ps)
+            grid = [[product(i, j) for j in range(n)] for i in range(n)]
+            s = ctor(*ps)
+            assert s.n == n and s.rows == validate(grid).rows, (name, ps)
+            assert all(type(v) is int and 0 <= v < n for row in s.rows for v in row)
+            assert all(type(row) is tuple for row in s.rows) and type(s.rows) is tuple
+            checked += 1
+    assert checked == 5 * 8 + 2 * 64 + 4
+
+
 def test_constructors_reject_bad_parameters():
     for ctor in (left_zero, right_zero, null_semigroup, chain_semilattice, cyclic_group):
         with pytest.raises(ValueError):
