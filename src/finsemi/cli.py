@@ -16,6 +16,7 @@ import functools
 import os
 import re
 import sys
+from itertools import islice
 
 from . import zoo
 from .congruence import induced_congruence
@@ -23,7 +24,6 @@ from .core import (
     CayleyTable,
     FormatError,
     _integer,
-    _row_line,
     _sharing,
     format_table,
     parse_table,
@@ -84,6 +84,13 @@ _LABELED_CORPUS_MAX = 3
 
 # The exit code of a command whose standard output was closed early.
 _CLOSED_STDOUT = 141
+
+# `enumerate` writes the text of this many tables at a time.
+_WRITE_BLOCK = 1024
+
+# Every entry of an enumerated table is one digit, as orders stop at
+# MAX_CLASS_ORDER, so a byte key prints by mapping each value to its digit.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 _ZOO_SPEC = re.compile(r"zoo:([a-z_]+?):?(\d+(?:,\d+)*)?")
 
@@ -251,11 +258,28 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         print(sum(1 for _ in keys))
         return 0
-    # each table in one write, its text as `format_table` gives it
-    head, starts, write = f"{n}\n", range(0, n * n, n), sys.stdout.write
-    for key in keys:
-        write(head + "".join([_row_line(key[i : i + n]) for i in starts]) + "\n")
+    _write_tables(keys, n)
     return 0
+
+
+def _write_tables(keys, n: int) -> None:
+    """Print the tables with flat row-major byte keys `keys`, each as
+    `format_table` gives it and followed by a blank line, in blocks of up
+    to _WRITE_BLOCK tables, one write to standard output per block.  A
+    block's text repeats one table's template (the head line, the spaces,
+    the newlines) and gets its m = n * n digit columns in m strided
+    slices: cell p of a table sits 2p bytes after the head."""
+    m = n * n
+    head = f"{n}\n".encode()
+    template = head + (b" ".join([b"0"] * n) + b"\n") * n + b"\n"
+    size = len(template)
+    keys = iter(keys)
+    while block := list(islice(keys, _WRITE_BLOCK)):
+        digits = b"".join(block).translate(_DIGITS)
+        text = bytearray(template * len(block))
+        for p in range(m):
+            text[len(head) + 2 * p :: size] = digits[p::m]
+        sys.stdout.write(text.decode())
 
 
 def cmd_omega(args) -> int:

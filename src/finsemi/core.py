@@ -269,11 +269,13 @@ def parse_table(text: str) -> CayleyTable:
 
 
 @functools.lru_cache(maxsize=4096)
-def _row_line(row: tuple | bytes) -> str:
+def _row_line(row: tuple) -> str:
     """One row of the text format, each entry printed as an int: a row of
-    bools equals, and so shares a cache entry with, its row of ints.  A
-    row may also be a slice of a flat byte key, as `enumerate` prints it.
-    An order-5 stream has at most 5**5 = 3,125 distinct rows."""
+    bools equals, and so shares a cache entry with, its row of ints.  Its
+    callers print a few tables each (`format_table` for `decompose`,
+    `zoo` and the converse search), whose rows repeat within and across
+    tables; `enumerate` prints its streams a block of byte keys at a
+    time instead."""
     return " ".join(map(int.__repr__, row)) + "\n"
 
 

@@ -20,6 +20,7 @@ from finsemi import (
     null_semigroup,
     rectangular_band,
 )
+from finsemi.enumeration import _leader_keys, _relabeled_keys
 
 
 def first_associativity_witness(grid):
@@ -587,6 +588,19 @@ def automorphism_count(rows) -> int:
     return sum(
         1 for perm in permutations(range(len(rows))) if relabel(rows, perm) == rows
     )
+
+
+def labeled_keys_by_leader(n: int) -> list:
+    """Every associative n x n table as a flat row-major byte key, in
+    lexicographic order: the distinct relabelings of each `iso` leader,
+    one leader and one key at a time, concatenated and sorted.  It reads
+    the fill's leaders and the single-key relabeling, which have their
+    own brute-force tests, to check the library's all-leaders-at-once
+    relabeling of the same leaders."""
+    keys = []
+    for key, _ in _leader_keys(n, "iso"):
+        keys += set(_relabeled_keys(key, n, "iso"))
+    return sorted(keys)
 
 
 def format_table(rows) -> str:

@@ -23,6 +23,7 @@ from finsemi import (
 from finsemi import cli
 from finsemi.cli import load_table, main
 from finsemi.decomposition import CHECK_IDS, summarize_corpus, verify_corpus
+from finsemi.enumeration import MAX_CLASS_ORDER
 
 import oracles
 
@@ -500,6 +501,26 @@ def test_enumerate_prints_the_oracle_format(capsys):
         count = f"{(1, 8, 113, 3492)[n - 1]}\n"
         argv = ("enumerate", "--order", str(n), "--count-only")
         assert run_cli(capsys, *argv) == (0, count, ""), argv
+
+
+def test_enumerate_prints_streams_of_several_blocks(capsys, monkeypatch):
+    # `enumerate` writes _WRITE_BLOCK tables at a time, each entry as one
+    # digit, which needs every order below 10.  The order-4 labeled stream
+    # of the test above (A023814) and the order-5 class streams span
+    # several blocks
+    assert MAX_CLASS_ORDER <= 9
+    assert 3492 > cli._WRITE_BLOCK
+    for mode in ("iso", "iso_anti"):
+        tables = [s.rows for s in enumerate_canonical(5, mode)]
+        assert len(tables) > cli._WRITE_BLOCK
+        argv = ("enumerate", "--order", "5", "--canonical", "--mode", mode)
+        assert run_cli(capsys, *argv) == (0, _oracle_stream(tables), ""), argv
+    # a filter that keeps nothing prints nothing
+    import finsemi.properties as properties
+
+    monkeypatch.setitem(properties._PREDICATES, "band", lambda s: (False, None))
+    argv = ("enumerate", "--order", "4", "--filter", "band")
+    assert run_cli(capsys, *argv) == (0, "", "")
 
 
 def test_enumerate_filter(capsys):

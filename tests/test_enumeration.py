@@ -22,6 +22,7 @@ from finsemi import (
 from finsemi.decomposition import CHECK_IDS, verify_corpus
 from finsemi.enumeration import (
     _fits,
+    _labeled_keys,
     _leader_keys,
     _orbit,
     _relabeled,
@@ -54,6 +55,18 @@ def test_labeled_stream_is_lexicographic():
     for n in (1, 2, 3, 4):
         flat = [tuple(v for row in s.rows for v in row) for s in enumerate_labeled(n)]
         assert all(a < b for a, b in zip(flat, flat[1:])), n
+
+
+def test_labeled_keys_relabel_all_leaders_as_each_leader_alone():
+    # the labeled stream relabels every leader at once by strided slices;
+    # the oracle takes each leader's orbit one key at a time.  Each key is
+    # bytes: a bytearray key would be unhashable
+    for n in (1, 2, 3, 4, 5):
+        keys = _labeled_keys(n)
+        assert keys == oracles.labeled_keys_by_leader(n), n
+        assert all(type(key) is bytes for key in keys), n
+    # OEIS A023814
+    assert len(keys) == 183_732
 
 
 def test_labeled_tables_are_valid():
