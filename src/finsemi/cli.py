@@ -49,6 +49,7 @@ from .enumeration import (
 from .properties import PROFILE_KEYS, _holds, classify, format_profile
 from .relations import (
     BinaryRelation,
+    _low_bit,
     canonical_relation,
     check_admissibility,
     format_relation,
@@ -164,16 +165,26 @@ def cmd_analyze(args) -> int:
 
 
 def _quotient_dot(q: CayleyTable, classes) -> str:
-    n = q.n
-    less = [[q.rows[x][y] == x and x != y for y in range(n)] for x in range(n)]
+    """The Hasse diagram of the semilattice `q` in DOT: an edge x -> y for
+    each cover, x < y (x*y = x, x != y) with no z between, in ascending
+    (x, y).  The classes above x form a bitmask, and x's covers are that
+    mask less the masks of the classes in it."""
+    above = [
+        sum(1 << y for y, v in enumerate(row) if v == x) & ~(1 << x)
+        for x, row in enumerate(q.rows)
+    ]
     lines = ["digraph quotient {", "  rankdir=BT;"]
     for i, cls in enumerate(classes):
         label = "{" + ",".join(str(e) for e in cls) + "}"
         lines.append(f'  c{i} [label="{label}"];')
-    for x in range(n):
-        for y in range(n):
-            if less[x][y] and not any(less[x][z] and less[z][y] for z in range(n)):
-                lines.append(f"  c{x} -> c{y};")
+    for x, up in enumerate(above):
+        covers, rest = up, up
+        while rest:
+            covers &= ~above[_low_bit(rest)]
+            rest &= rest - 1
+        while covers:
+            lines.append(f"  c{x} -> c{_low_bit(covers)};")
+            covers &= covers - 1
     lines.append("}")
     return "\n".join(lines) + "\n"
 

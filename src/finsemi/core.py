@@ -58,17 +58,16 @@ class CayleyTable:
     closure check too, for rows known to be square tuples of int tuples
     in the carrier.  Its callers:
     - `enumeration._table`, for every table `enumeration` gives out (the
-      fill's complete tables, random draws, the labeled stream, canonical
-      forms and the members of a class) or `decomposition` checks.  Each
-      is read from a flat key whose n*n cells all hold values below n: a
-      complete fill, exhaustive or random, the cells of a table that
+      fill's complete tables, random draws, the labeled stream and
+      canonical forms) or `decomposition` checks (the representatives and
+      the members of a witnessed class, relabeled from its leader key).
+      Each is read from a flat key whose n*n cells all hold values below
+      n: a complete fill, exhaustive or random, the cells of a table that
       passed the check, or those of a relabeling of one, which maps each
       value by a permutation of {0, ..., n-1}.
     - `_sub_table`, for `decompose`'s components, which hold the local
       index of a product within a closed class, and for `quotient`s,
       which hold class indices.
-    - the member merge of `decomposition._corpus`, whose grids are the
-      rows of a `CayleyTable`.
     - the zoo's families (`zoo._table`), whose rows are int tuples built
       in the carrier by slicing: the entry scan would test each of their
       n*n entries, most of a load of a large zoo table.  They still pass

@@ -16,11 +16,13 @@ every labeled table of an order from one table per isomorphism-and-mirror
 class, each count weighted by the class's size (both of its isomorphism
 orbits) as the enumeration's fill counts it.  Both come from one
 function, `_corpus`, which folds the classes' reports as they arrive,
-keeps those whose representative yields a witness, merges their members
-in labeled order, and builds and checks them one by one while a report
-lists fewer witnesses than it shows: every one for `verify_corpus`, the
-first `_WITNESSES_SHOWN` for `summarize_corpus`, which stores how many
-there are in all.
+keeps the leader keys of those whose representative yields a witness,
+merges their members, relabeled from those keys, in labeled order, and
+builds and checks them one by one while a report lists fewer witnesses
+than it shows: every one for `verify_corpus`, the first
+`_WITNESSES_SHOWN` for `summarize_corpus`, which stores how many there
+are in all.  Every table checked is read from a byte key
+(`enumeration._table`), so none pays the constructor's entry scan.
 """
 
 from __future__ import annotations
@@ -40,11 +42,11 @@ from .enumeration import (
     MAX_CLASS_ORDER,
     _check_order,
     _leader_keys,
-    _orbit,
+    _relabeled_keys,
     _table,
     enumerate_canonical,
 )
-from .properties import PropertyProfile, _holds, is_semilattice
+from .properties import _holds, is_semilattice
 from .relations import (
     BinaryRelation,
     _kernels,
@@ -350,28 +352,16 @@ DIAGRAM_IMPLICATIONS = (
 )
 
 
-def diagram_report(profile: PropertyProfile) -> VerificationReport:
-    """Check all six diagram implications on one classification profile.
-    Implications whose hypothesis fails are skipped, not counted as
-    verified."""
-    return _diagram(functools.partial(getattr, profile))
-
-
 def verify_table_diagram(s: CayleyTable) -> VerificationReport:
-    """`diagram_report(classify(s))`, reading only the verdicts that the
-    implications ask for."""
-    return _diagram(lambda key: _holds(s, key)[0])
-
-
-def _diagram(holds) -> VerificationReport:
-    """The diagram report, with `holds(key)` the verdict of the
-    classifier `key`."""
+    """Check all six diagram implications on the classifier verdicts of
+    `s`, reading only those that the implications ask for.  Implications
+    whose hypothesis fails are skipped, not counted as verified."""
     witnesses = []
     counts = {}
     for name, hyp, concl in DIAGRAM_IMPLICATIONS:
-        if all(map(holds, hyp)):
+        if all(_holds(s, key)[0] for key in hyp):
             counts[name] = 1
-            if not all(map(holds, concl)):
+            if not all(_holds(s, key)[0] for key in concl):
                 witnesses.append((name,))
     if not counts:
         return _skipped("diagram", tables=1)
@@ -434,6 +424,8 @@ def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
     """Fold per-table reports for one check into an aggregate that keeps
     every witness.  Merging is associative, so any chunking of the corpus
     yields the same result."""
+    if not reports:
+        raise ValueError("cannot merge an empty list of reports")
     check = reports[0].check
     witnesses: list = []
     counts: dict[str, int] = {}
@@ -466,9 +458,17 @@ def _check_table(ids, cells) -> tuple:
     return tuple(out)
 
 
-def _check_workers(workers: int):
+def _checked_ids(ids: Iterable[str], workers: int) -> list[str]:
+    """`ids` as a list, once it and `workers` are checked, before any
+    work: each id must be a key of `CHECKS`, as the CLI gives them once
+    it has normalized its alias and 'all' (`normalize_check_id`)."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    ids = list(ids)
+    for name in ids:
+        if name not in CHECKS:
+            raise ValueError(f"unknown check {name!r}; choose from {', '.join(CHECK_IDS)}")
+    return ids
 
 
 def _map(fn, items: Sequence, workers: int) -> Iterator:
@@ -496,8 +496,7 @@ def run_checks(
     single-worker run; no tables give not-applicable reports.  The call
     is one run: equal components and quotients of the tables are one
     table until it returns."""
-    _check_workers(workers)
-    ids = list(ids)
+    ids = _checked_ids(ids, workers)
     cells = [tuple(chain.from_iterable(t.rows)) for t in tables]
     with _sharing():
         per_table = list(_map(functools.partial(_check_table, ids), cells, workers))
@@ -517,10 +516,11 @@ def verify_corpus(
     report holds the representative's verdict and its counts times the
     class size, the members of both isomorphism orbits, which the fill
     counts along with the representative (`_leader_keys`), and only a
-    class with a witness is kept and expanded into its members, for
-    their own witnesses, merged in labeled order as the labeled stream
-    lists them.  With workers > 1 a pool checks the representatives in
-    chunks (`_map`), and the members are checked in this process.
+    class with a witness is kept and expanded into its members, relabeled
+    from its leader key, for their own witnesses, merged in labeled order
+    as the labeled stream lists them.  With workers > 1 a pool checks the
+    representatives in chunks (`_map`), and the members are checked in
+    this process.
 
     Why transposing is a symmetry.  Transposing a table T into T' swaps
     the left kernels L and the right kernels R, so the pairs B on which
@@ -577,20 +577,20 @@ def _corpus(
     None, all, and storing their total where it is more.
 
     Each class is checked on its representative only; its reports are
-    folded as they arrive, weighted by the class size, and kept only if
-    one has a witness.  The members of those classes are merged in
-    labeled order, and each member after a representative is built once
-    and checked for every check that has witnesses on its class and
-    still lists fewer than it shows, until none does.  The checks on the
-    representatives and on the members are one run: their equal
-    components and quotients are one table until it ends, in each pool
-    worker as in this process."""
-    _check_workers(workers)
-    ids = list(ids)
+    folded as they arrive, weighted by the class size, and kept with the
+    class's leader key only if one has a witness.  The members of those
+    classes, relabeled from their leader keys (`_members`), are merged in
+    labeled order, and each member after a representative is built once,
+    from its key, and checked for every check that has witnesses on its
+    class and still lists fewer than it shows, until none does.  The
+    checks on the representatives and on the members are one run: their
+    equal components and quotients are one table until it ends, in each
+    pool worker as in this process."""
+    ids = _checked_ids(ids, workers)
     keys, sizes = zip(*_leader_keys(n, "iso_anti"))
     counts: list[dict[str, int]] = [{} for _ in ids]
     totals = [0] * len(ids)
-    witnessed = []  # (rows, reports) of each class with a witness
+    witnessed = []  # (key, reports) of each class with a witness
     per_class = _map(functools.partial(_check_table, ids), keys, workers)
     for key, size, reports in zip(keys, sizes, per_class):
         for j, r in enumerate(reports):
@@ -598,23 +598,24 @@ def _corpus(
             for k, v in r.counts:
                 counts[j][k] = counts[j].get(k, 0) + v * size
         if any(r.witnesses for r in reports):
-            witnessed.append((_table(key, n).rows, reports))
+            witnessed.append((key, reports))
     reports = r = None  # the last class's, which the merge must not keep
     wanted = totals if shown is None else [min(t, shown) for t in totals]
     listed: list[list] = [[] for _ in ids]
-    members = heapq.merge(*(_members(rows, j) for j, (rows, _) in enumerate(witnessed)))
+    members = heapq.merge(*(_members(key, n, j) for j, (key, _) in enumerate(witnessed)))
     while any(len(out) < k for out, k in zip(listed, wanted)):
-        grid, j = next(members)
-        rows, reports = witnessed[j]
+        key, j = next(members)
+        leader, reports = witnessed[j]
         # one table per member for all its checks, let go once they are
         # done; its components and quotient stay shared until the run ends
-        member = None if grid == rows else CayleyTable._closed(grid)
+        member = None if key == leader else _table(key, n)
         for r, out, k in zip(reports, listed, wanted):
             if r.witnesses and len(out) < k:
                 if member is None:
                     out.extend(r.witnesses)
                 else:
-                    out.extend((grid, w) for w in CHECKS[r.check](member).witnesses)
+                    found = CHECKS[r.check](member).witnesses
+                    out.extend((member.rows, w) for w in found)
     return [
         VerificationReport(
             check, tuple(out[:k]), tuple(sorted(c.items())), t if t > k else None
@@ -623,15 +624,15 @@ def _corpus(
     ]
 
 
-def _members(grid: tuple, i: int):
-    """(rows, i) for each member of the isomorphism-and-mirror class of
-    the canonical table `grid`, in labeled order: first `grid` itself,
-    the least member, then the others, listed only once the second is
-    asked for.  Rows, not tables: the merge holds no table, so the
+def _members(key: bytes, n: int, i: int):
+    """(key, i) for each member of the isomorphism-and-mirror class of the
+    leader key `key` of order n, in labeled order: first `key`, the least
+    member, then the others, relabeled from it only once the second is
+    asked for.  Keys, not tables: the merge holds no table, so the
     caller's table of a member dies, with its facts, after its checks."""
-    yield grid, i
-    for rows in [m.rows for m in _orbit(CayleyTable(grid), "iso_anti")[1:]]:
-        yield rows, i
+    yield key, i
+    for member in sorted(set(_relabeled_keys(key, n, "iso_anti")))[1:]:
+        yield member, i
 
 
 def format_report(r: VerificationReport) -> str:

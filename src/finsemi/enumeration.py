@@ -345,11 +345,6 @@ def _relabeled_keys(key: bytes, n: int, mode: str) -> list[bytes]:
     return [bytes(getter(key)).translate(values) for _, _, getter, values in records]
 
 
-def _relabeled(s: CayleyTable, mode: str) -> list[bytes]:
-    """`_relabeled_keys` of the table `s`."""
-    return _relabeled_keys(bytes(chain.from_iterable(s.rows)), s.n, mode)
-
-
 def _table(key, n: int) -> CayleyTable:
     """The table whose rows are the flat row-major key `key`, read as
     tuples of ints.  Every table this module gives out or `decomposition`
@@ -363,17 +358,8 @@ def canonical_form(s: CayleyTable, mode: str = "iso_anti") -> CayleyTable:
     relabelings of `s`; in "iso_anti" mode the minimum also ranges over
     relabelings of the transpose, so a table and its mirror image share
     one canonical form."""
-    return _table(min(_relabeled(s, mode)), s.n)
-
-
-def _orbit(rep: CayleyTable, mode: str) -> list[CayleyTable]:
-    """The distinct labeled tables in the class of `rep`: those
-    isomorphic to `rep`, n! over its automorphism count, and in
-    "iso_anti" mode those isomorphic to its transpose too, the union of
-    both `iso` orbits (one orbit when `rep` is isomorphic to its
-    transpose).  They come in lexicographic order, which is their order
-    in the labeled stream, so a class's canonical form comes first."""
-    return [_table(key, rep.n) for key in sorted(set(_relabeled(rep, mode)))]
+    key = bytes(chain.from_iterable(s.rows))
+    return _table(min(_relabeled_keys(key, s.n, mode)), s.n)
 
 
 def _leader_keys(n: int, mode: str) -> Iterator[tuple[bytes, int]]:

@@ -13,6 +13,7 @@ from itertools import permutations, product as iproduct
 
 from finsemi import (
     CayleyTable,
+    VerificationReport,
     chain_semilattice,
     cyclic_group,
     enumerate_labeled,
@@ -610,3 +611,48 @@ def format_table(rows) -> str:
     for row in rows:
         lines.append(" ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def quotient_dot(q: CayleyTable, classes) -> str:
+    """The DOT text of `finsemi decompose --dot`: the Hasse diagram of the
+    semilattice `q`, an edge x -> y for each x < y (x*y = x, x != y) with
+    no z in between, found by testing every (x, y, z)."""
+    n = q.n
+    less = [[q.rows[x][y] == x and x != y for y in range(n)] for x in range(n)]
+    lines = ["digraph quotient {", "  rankdir=BT;"]
+    for i, cls in enumerate(classes):
+        label = "{" + ",".join(str(e) for e in cls) + "}"
+        lines.append(f'  c{i} [label="{label}"];')
+    for x in range(n):
+        for y in range(n):
+            if less[x][y] and not any(less[x][z] and less[z][y] for z in range(n)):
+                lines.append(f"  c{x} -> c{y};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def diagram_report(p) -> VerificationReport:
+    """The diagram check's report on the classification profile `p`, the
+    six implications written out: each whose hypothesis holds is counted
+    once, and one whose conclusion then fails is a witness."""
+    implications = (
+        ("separative->qs+wb", p.separative, p.quasi_separative and p.weakly_balanced),
+        ("qs+wb->qs", p.quasi_separative and p.weakly_balanced, p.quasi_separative),
+        ("cancellative->weakly_cancellative", p.cancellative, p.weakly_cancellative),
+        (
+            "weakly_cancellative->qs+qc",
+            p.weakly_cancellative,
+            p.quasi_separative and p.quasi_cancellative,
+        ),
+        ("cancellative->separative", p.cancellative, p.separative),
+        ("qs+qc->qs", p.quasi_separative and p.quasi_cancellative, p.quasi_separative),
+    )
+    counts = {"tables": 1}
+    witnesses = []
+    for name, hypothesis, conclusion in implications:
+        if hypothesis:
+            counts[name] = 1
+            if not conclusion:
+                witnesses.append((name,))
+    counts["applicable" if len(counts) > 1 else "skipped"] = 1
+    return VerificationReport("diagram", tuple(witnesses), tuple(sorted(counts.items())))

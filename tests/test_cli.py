@@ -219,6 +219,20 @@ def test_decompose_dot_covering_only(capsys):
     assert "c0 -> c2;" not in out
 
 
+def test_decompose_dot_matches_the_literal_cover_scan():
+    # the covers read from up-set bitmasks, against the test of every
+    # (x, y, z), on each semilattice quotient of the zoo tables and of
+    # the labeled order-4 tables
+    quotients = 0
+    for s in oracles.zoo_tables() + list(oracles.labeled_corpus(4)):
+        d = finsemi.decompose(s)
+        if d.quotient_is_semilattice:
+            q, classes = d.quotient, d.congruence.classes
+            assert cli._quotient_dot(q, classes) == oracles.quotient_dot(q, classes)
+            quotients += 1
+    assert quotients == 9 + 2844
+
+
 def test_decompose_dot_requires_semilattice_quotient(capsys):
     # monogenic(3,1) collapses to a constant quotient that is not a band
     code, out, err = run_cli(capsys, "decompose", "zoo:monogenic:3,1", "--dot")

@@ -28,7 +28,7 @@ from finsemi import (
     strictness_witnesses,
     validate,
 )
-from finsemi.enumeration import _leader_keys, _orbit, _table
+from finsemi.enumeration import _leader_keys, _relabeled_keys, _table
 from finsemi.properties import _commutative_with_witness
 from finsemi.decomposition import (
     CHECK_IDS,
@@ -36,7 +36,6 @@ from finsemi.decomposition import (
     VerificationReport,
     _WITNESSES_SHOWN,
     _report,
-    diagram_report,
     merge_reports,
     normalize_check_id,
     summarize_corpus,
@@ -226,10 +225,13 @@ def test_verify_diagram_per_table():
     assert verify_table_diagram(validate([[0]])).verdict == "verified"
     # the check reads the verdicts it needs, as the whole profile gives them
     for s in oracles.corpus_up_to(4):
-        assert verify_table_diagram(s) == diagram_report(classify(s)), s.rows
+        assert verify_table_diagram(s) == oracles.diagram_report(classify(s)), s.rows
 
 
-def test_diagram_report_flags_fabricated_violation():
+def test_verify_diagram_flags_fabricated_violation(monkeypatch):
+    # no table breaks an implication, so a stubbed classifier lookup
+    # reports a cancellative table that is not separative
+    import finsemi.decomposition as decomposition
     from finsemi import PropertyProfile
 
     fake = PropertyProfile(
@@ -245,9 +247,11 @@ def test_diagram_report_flags_fabricated_violation():
         quasi_cancellative=True,
         square_descent=True,
     )
-    r = diagram_report(fake)
+    monkeypatch.setattr(decomposition, "_holds", lambda s, key: (getattr(fake, key), None))
+    r = verify_table_diagram(Z2)
     assert r.verdict == "violated"
-    assert ("cancellative->separative",) in r.witnesses
+    assert r.witnesses == (("cancellative->separative",),)
+    assert r == oracles.diagram_report(fake)
 
 
 def test_strictness_witnesses_all_hold():
@@ -625,25 +629,44 @@ def test_verify_corpus_checks_each_labeled_table_at_most_once(monkeypatch):
 def test_verify_corpus_builds_orbits_only_for_witnessed_classes(monkeypatch):
     # the fill hands over every class's size, so of the 126 order-4
     # iso_anti classes only the 1 whose representative has t6 witnesses
-    # builds its members, the union of its two iso orbits, to check them
+    # relabels its leader key into its members, the union of its two iso
+    # orbits, to check them
     import finsemi.decomposition as decomposition
 
     built = []
-    original = decomposition._orbit
+    original = decomposition._relabeled_keys
 
-    def counting(rep, mode):
-        built.append(rep.rows)
-        return original(rep, mode)
+    def counting(key, n, mode):
+        built.append((key, mode))
+        return original(key, n, mode)
 
-    monkeypatch.setattr(decomposition, "_orbit", counting)
+    monkeypatch.setattr(decomposition, "_relabeled_keys", counting)
     t6 = verify_corpus(4, CHECK_IDS)[CHECK_IDS.index("t6")]
     assert len(built) == 1
-    assert set(built) == {
-        canonical_form(validate(grid), "iso_anti").rows for grid, _ in t6.witnesses
-    }
+    key = bytes(v for row in canonical_form(validate(t6.witnesses[0][0])).rows for v in row)
+    assert built == [(key, "iso_anti")]
+    assert {canonical_form(validate(grid)) for grid, _ in t6.witnesses} == {_table(key, 4)}
     # the two iso classes of the 48 witnesses are mirror images
     a, b = {canonical_form(validate(grid), "iso") for grid, _ in t6.witnesses}
     assert canonical_form(a.transpose(), "iso") == b
+
+
+def test_corpus_routes_build_no_checked_table(monkeypatch):
+    # every table of the class route, representatives, members, components
+    # and quotients, is read from a byte key or rows known to be in the
+    # carrier, so none pays the constructor's entry scan
+    calls = []
+    original = CayleyTable.__init__
+
+    def counting(self, rows):
+        calls.append(rows)
+        original(self, rows)
+
+    monkeypatch.setattr(CayleyTable, "__init__", counting)
+    for run in (summarize_corpus, verify_corpus):
+        reports = run(4, CHECK_IDS)
+        assert reports[CHECK_IDS.index("t6")].verdict == "violated"
+    assert calls == []
 
 
 def test_verify_corpus_expands_every_witnessed_class(monkeypatch):
@@ -847,6 +870,11 @@ def test_run_checks_on_no_tables_is_not_applicable():
     assert all(r.verdict == "not-applicable" for r in reports)
 
 
+def test_merge_reports_rejects_an_empty_list():
+    with pytest.raises(ValueError, match="empty list of reports"):
+        merge_reports([])
+
+
 def test_merge_reports_rejects_reports_of_different_checks():
     s = left_zero(2)
     with pytest.raises(ValueError, match="different checks"):
@@ -884,6 +912,33 @@ def test_bad_worker_count_is_rejected_before_any_table(monkeypatch):
         run_checks(tables(), CHECK_IDS, workers=0)
 
 
+@pytest.mark.parametrize("ids", [["bogus"], ["t4", "bogus"], ["all"], ["t10"]])
+def test_unknown_check_ids_are_rejected_before_any_table(monkeypatch, recording_pool, ids):
+    # the library takes only the keys of CHECKS, checked before the class
+    # fill starts or a table is read, with no table list or an empty one;
+    # the CLI normalizes the alias and 'all' first
+    import finsemi.decomposition as decomposition
+
+    def fill(*args):
+        raise AssertionError("the class fill ran")
+
+    def tables():
+        raise AssertionError("the tables were read")
+        yield
+
+    monkeypatch.setattr(decomposition, "_leader_keys", fill)
+    message = f"unknown check {ids[-1]!r}; choose from t4, t6, "
+    for run in (verify_corpus, summarize_corpus):
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                run(6, ids, workers=workers)
+    for given in (tables(), []):
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                run_checks(given, ids, workers=workers)
+    assert recording_pool == []
+
+
 def test_class_route_keeps_only_the_witnessed_classes_reports(monkeypatch):
     # each class's reports are folded as they arrive: when the member merge
     # starts, no report of the 1,145 witness-free order-5 classes is alive
@@ -904,11 +959,11 @@ def test_class_route_keeps_only_the_witnessed_classes_reports(monkeypatch):
             free.extend(weakref.ref(r) for r in reports)
         return reports
 
-    def merging(grid, i):
+    def merging(key, n, i):
         nonlocal alive
         if alive is None:
             alive = {id(r): r for r in (ref() for ref in free) if r is not None}
-        return members(grid, i)
+        return members(key, n, i)
 
     monkeypatch.setattr(decomposition, "_check_table", recording)
     monkeypatch.setattr(decomposition, "_members", merging)
@@ -976,11 +1031,13 @@ def test_witness_counts_are_class_invariants():
             counts = [len(CHECKS[c](rep).witnesses) for c in CHECK_IDS]
             if not any(counts):
                 continue
-            orbit = _orbit(rep, "iso_anti")
+            orbit = sorted(set(_relabeled_keys(key, n, "iso_anti")))
             assert len(orbit) == size
+            assert orbit[0] == key
             for m in orbit[1:]:  # the first member is the representative
-                got = [len(CHECKS[c](m).witnesses) for c in CHECK_IDS]
-                assert got == counts, (rep.rows, m.rows)
+                member = _table(m, n)
+                got = [len(CHECKS[c](member).witnesses) for c in CHECK_IDS]
+                assert got == counts, (rep.rows, member.rows)
             witnessed += 1
             members += size - 1
     assert (witnessed, members) == (16, 3272)

@@ -19,13 +19,12 @@ from finsemi import (
     right_zero,
     validate,
 )
-from finsemi.decomposition import CHECK_IDS, verify_corpus
+from finsemi.decomposition import CHECK_IDS, _members, verify_corpus
 from finsemi.enumeration import (
     _fits,
     _labeled_keys,
     _leader_keys,
-    _orbit,
-    _relabeled,
+    _relabeled_keys,
     _relabelings,
     _table,
 )
@@ -217,7 +216,7 @@ def test_canonical_argument_checks():
 
 
 def test_relabelings_are_built_once_per_order_and_mode():
-    # `_orbit`, `canonical_form` and `enumerate_canonical` read one shared
+    # `_members`, `canonical_form` and `enumerate_canonical` read one shared
     # tuple instead of building the n! source maps on every call
     for n, mode in ((4, "iso"), (5, "iso_anti")):
         first = _relabelings(n, mode)
@@ -301,6 +300,14 @@ def test_order4_stream_is_union_of_canonical_orbits():
     assert covered == labeled
 
 
+def _oracle_orbit(rows, mode) -> list:
+    # the distinct relabelings of the table, and in iso_anti mode of its
+    # transpose, each built cell by cell, in lexicographic order
+    bases = [rows] + ([tuple(zip(*rows))] if mode == "iso_anti" else [])
+    perms = permutations(range(len(rows)))
+    return sorted({oracles.relabel(base, p) for p in perms for base in bases})
+
+
 def test_orbit_sizes_match_automorphism_counts():
     # orbit-stabilizer: a class of order n has n! / |Aut| labeled members,
     # which is also the weight the fill counts for it, and the orbits of
@@ -310,46 +317,44 @@ def test_orbit_sizes_match_automorphism_counts():
         members = []
         for key, weight in _leader_keys(n, "iso"):
             rep = _table(key, n)
-            orbit = [m.rows for m in _orbit(rep, "iso")]
+            orbit = _oracle_orbit(rep.rows, "iso")
             automorphisms = oracles.automorphism_count(rep.rows)
             assert len(orbit) == weight == math.factorial(n) // automorphisms
-            # the representative comes first: `verify_corpus` reuses its
-            # reports for that member
-            assert orbit == sorted(orbit) and orbit[0] == rep.rows
+            # the representative is the least member: `verify_corpus`
+            # reuses its reports for that member
+            assert orbit[0] == rep.rows
             members += orbit
         assert sorted(members) == [s.rows for s in enumerate_labeled(n)]
 
 
 def test_mirror_orbits_match_class_weights():
     # an iso_anti class holds the relabelings of its representative and of
-    # the transpose: as many as the weight the fill counts for it, in
-    # stream order with the representative first, which `verify_corpus`
-    # relies on, and the classes partition the labeled stream
+    # the transpose: as many as the weight the fill counts for it, and
+    # `_members` lists them from the leader key in stream order with the
+    # representative first, which `verify_corpus` relies on; the classes
+    # partition the labeled stream
     for n in (1, 2, 3, 4):
         members = []
         for key, weight in _leader_keys(n, "iso_anti"):
-            rep = _table(key, n)
-            orbit = [m.rows for m in _orbit(rep, "iso_anti")]
+            orbit = _oracle_orbit(_table(key, n).rows, "iso_anti")
             assert len(orbit) == weight
-            assert orbit == sorted(orbit) and orbit[0] == rep.rows
-            assert set(orbit) == {
-                oracles.relabel(base, perm)
-                for base in (rep.rows, rep.transpose().rows)
-                for perm in permutations(range(n))
-            }
+            listed = list(_members(key, n, 7))
+            assert listed[0] == (key, 7)
+            assert [_table(k, n).rows for k, _ in listed] == orbit
+            assert all(type(k) is bytes and i == 7 for k, i in listed)
             members += orbit
         assert sorted(members) == [s.rows for s in enumerate_labeled(n)]
 
 
 def test_orbit_sizes_sum_to_labeled_counts():
     # OEIS A023814: labeled semigroups of order n.  The fill's weight of
-    # each class is its orbit size, built here from every relabeling, and
-    # the weights sum to the labeled count in both modes, those of the
+    # each class is its orbit size, the distinct keys of every relabeling,
+    # and the weights sum to the labeled count in both modes, those of the
     # iso_anti classes counting the mirror images too
     for n, labeled in ((1, 1), (2, 8), (3, 113), (4, 3492), (5, 183732)):
         classes = list(_leader_keys(n, "iso"))
         for key, weight in classes:
-            assert weight == len(_orbit(_table(key, n), "iso")), key
+            assert weight == len(set(_relabeled_keys(key, n, "iso"))), key
         assert sum(weight for _, weight in classes) == labeled
         assert sum(weight for _, weight in _leader_keys(n, "iso_anti")) == labeled
 
@@ -484,12 +489,15 @@ def test_relabeled_keys_match_per_cell_relabeling(mode):
     # the keys relabeled by itemgetter and bytes.translate, against the
     # oracle's relabeling of each table, for every iso class of orders 1
     # to 4 (order 1 has a one-byte key)
+    def relabeled(s):
+        return _relabeled_keys(bytes(v for row in s.rows for v in row), s.n, mode)
+
     for n in (1, 2, 3, 4):
         for rep in enumerate_canonical(n, "iso"):
-            assert _relabeled(rep, mode) == _naive_relabeled(rep, mode), (n, rep.rows)
+            assert relabeled(rep) == _naive_relabeled(rep, mode), (n, rep.rows)
     # above MAX_CLASS_ORDER the relabelings are streamed, not cached
     for s in (cyclic_group(7), left_zero(7)):
-        assert _relabeled(s, mode) == _naive_relabeled(s, mode), s.rows
+        assert relabeled(s) == _naive_relabeled(s, mode), s.rows
 
 
 def test_labeled_stream_tables_pass_the_checked_constructors():
